@@ -126,22 +126,23 @@ let corrupt id detail =
     (Storage.Storage_error.Corruption
        { page = Some id; component = "btree.node"; detail })
 
-let attach ?config ?pool pager ~root =
+let attach ?config ?pool ?height pager ~root =
   let cfg =
     match config with
     | Some c -> c
     | None -> default_config ~page_size:(Pager.page_size pager)
   in
-  let t = { pager; cfg; root; height = 1; pool = None } in
-  set_pool t pool;
-  (* recover the height from the leftmost path; through [load] so a
-     corrupt page surfaces as typed corruption, not a bare decode error *)
+  (* recover the height from the leftmost path unless the caller knows
+     it; through [load] so a corrupt page surfaces as typed corruption,
+     not a bare decode error *)
   let rec descend id h =
     match load (Pager.read pager) id with
     | Node.Leaf _ -> h
     | Node.Internal n -> descend n.children.(0) (h + 1)
   in
-  t.height <- descend root 1;
+  let height = match height with Some h -> h | None -> descend root 1 in
+  let t = { pager; cfg; root; height; pool = None } in
+  set_pool t pool;
   t
 
 (* The root page id is the only state outside the pager; persist it in the
@@ -152,7 +153,7 @@ let sync t =
   Pager.set_meta t.pager (meta_tag ^ Bu.encode_u32 t.root);
   Pager.sync t.pager
 
-let reattach ?config ?pool pager =
+let meta_root pager =
   let m = Pager.meta pager in
   if String.length m <> 7 || String.sub m 0 3 <> meta_tag then
     raise
@@ -162,7 +163,10 @@ let reattach ?config ?pool pager =
            component = "btree.meta";
            detail = "Btree.reattach: pager metadata does not name a tree root";
          });
-  attach ?config ?pool pager ~root:(Bu.decode_u32 m 3)
+  Bu.decode_u32 m 3
+
+let reattach ?config ?pool pager =
+  attach ?config ?pool pager ~root:(meta_root pager)
 
 (* Borrowed reads: the tree never mutates a page it has read (all
    updates re-encode into fresh buffers and go through [write_page]), so

@@ -50,11 +50,18 @@ val root : t -> int
     this is all the state needed to re-open the tree. *)
 
 val attach :
-  ?config:config -> ?pool:Storage.Buffer_pool.t -> Storage.Pager.t -> root:int -> t
+  ?config:config ->
+  ?pool:Storage.Buffer_pool.t ->
+  ?height:int ->
+  Storage.Pager.t ->
+  root:int ->
+  t
 (** [attach pager ~root] re-opens a tree previously built on this pager's
     pages (e.g. after {!Storage.Pager.open_file}); the height is recovered
-    by walking to the leftmost leaf.  The configuration must match the one
-    the tree was built with — in particular [front_coding]. *)
+    by walking to the leftmost leaf, or taken from [?height] — which
+    must be the tree's true height — without reading any page.  The
+    configuration must match the one the tree was built with — in
+    particular [front_coding]. *)
 
 val sync : t -> unit
 (** Records the current root in the pager's header metadata and commits
@@ -62,6 +69,11 @@ val sync : t -> unit
     (journal then checkpoint), a tree on a file-backed pager always
     reopens to its last-synced state, however many splits or merges were
     in flight when a crash hit. *)
+
+val meta_root : Storage.Pager.t -> int
+(** The root page id a previous {!sync} recorded in the pager's
+    metadata.  Raises {!Storage.Storage_error.Corruption} when the
+    metadata does not name a tree. *)
 
 val reattach : ?config:config -> ?pool:Storage.Buffer_pool.t -> Storage.Pager.t -> t
 (** [reattach pager] re-opens the tree whose root a previous {!sync}

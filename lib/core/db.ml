@@ -143,16 +143,16 @@ type session = {
   mutable open_ : bool;
 }
 
-(* Process-wide count of pinned sessions, mirrored into a gauge so the
-   server's Health response can report it without holding a Db handle
-   per registry entry. *)
-let session_count = Atomic.make 0
-
+(* Process-wide count of pinned sessions.  The gauge is the count itself
+   (one atomic word), so concurrent opens and closes can never leave the
+   exported value behind [active_sessions], and the server's Health
+   response can report it without holding a Db handle per registry
+   entry. *)
 let g_sessions =
   Obs.Metrics.gauge ~subsystem:"db"
     ~help:"snapshot sessions currently pinned" "active_sessions"
 
-let active_sessions () = Atomic.get session_count
+let active_sessions () = Obs.Metrics.gauge_value g_sessions
 
 let open_session t =
   (* pin under the writer lock: all views see the same committed cut,
@@ -166,13 +166,13 @@ let open_session t =
    with e ->
      List.iter (fun (_, v) -> Index.release_view v) !views;
      raise e);
-  Obs.Metrics.set g_sessions (Atomic.fetch_and_add session_count 1 + 1);
+  Obs.Metrics.gauge_add g_sessions 1;
   { views = List.rev !views; open_ = true }
 
 let close_session s =
   if s.open_ then begin
     s.open_ <- false;
-    Obs.Metrics.set g_sessions (Atomic.fetch_and_add session_count (-1) - 1);
+    Obs.Metrics.gauge_add g_sessions (-1);
     List.iter (fun (_, v) -> Index.release_view v) s.views
   end
 

@@ -137,8 +137,8 @@ val with_session : t -> (session -> 'a) -> 'a
 (** [with_session t f] opens a session, runs [f], and always closes it. *)
 
 val active_sessions : unit -> int
-(** Process-wide count of currently pinned sessions (also exported as
-    the [db.active_sessions] gauge). *)
+(** Process-wide count of currently pinned sessions.  The count is the
+    [db.active_sessions] gauge itself, so the two always agree. *)
 
 val session_query :
   ?algo:[ `Forward | `Parallel ] -> session -> Index.t -> Query.t -> Exec.outcome

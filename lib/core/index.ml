@@ -23,6 +23,9 @@ type t = {
   kind : kind;
   ty : Schema.attr_type;
   mutable specs : spec list;
+  pinned : (int * int * int) option Atomic.t;
+      (* (epoch, root, height) of the last snapshot view attached: later
+         pins of the same commit epoch reuse the height and read no page *)
 }
 
 let kind t = t.kind
@@ -70,6 +73,7 @@ let create_class_hierarchy ?config ?pool pager enc ~root ~attr =
     kind = Class_hierarchy { root; attr };
     ty;
     specs = [ { s_classes = [| root |]; s_refs = [||]; s_attr = attr } ];
+    pinned = Atomic.make None;
   }
 
 let attach_class_hierarchy ?config ?pool pager enc ~root ~attr =
@@ -81,6 +85,7 @@ let attach_class_hierarchy ?config ?pool pager enc ~root ~attr =
     kind = Class_hierarchy { root; attr };
     ty;
     specs = [ { s_classes = [| root |]; s_refs = [||]; s_attr = attr } ];
+    pinned = Atomic.make None;
   }
 
 let recreate ?config ?pool t pager =
@@ -102,6 +107,7 @@ let recreate ?config ?pool t pager =
     kind = t.kind;
     ty = t.ty;
     specs = t.specs;
+    pinned = Atomic.make None;
   }
 
 (* resolve and validate one REF path; returns its spec and attribute type *)
@@ -160,6 +166,7 @@ let create_path ?config ?pool pager enc ~head ~refs ~attr =
     kind = Path { head; refs; attr };
     ty;
     specs = [ spec ];
+    pinned = Atomic.make None;
   }
 
 let add_path t ~head ~refs ~attr =
@@ -287,16 +294,27 @@ let snapshot_view t =
   let snap = Storage.Pager.snapshot parent in
   let tree =
     try
-      if Storage.Pager.durable parent then
-        (* the committed B-tree root is named by the committed header
-           metadata (recorded by Btree.sync) *)
-        Btree.reattach ~config:(Btree.config t.tree) snap
-      else
-        (* memory pagers commit every write immediately, so the live root
-           is the committed root (the header metadata may be stale
-           between Btree.syncs) *)
-        Btree.attach ~config:(Btree.config t.tree) snap
-          ~root:(Btree.root t.tree)
+      let root =
+        if Storage.Pager.durable parent then
+          (* the committed B-tree root is named by the committed header
+             metadata (recorded by Btree.sync) *)
+          Btree.meta_root snap
+        else
+          (* memory pagers commit every write immediately, so the live
+             root is the committed root (the header metadata may be stale
+             between Btree.syncs) *)
+          Btree.root t.tree
+      in
+      let epoch = Storage.Pager.epoch snap in
+      match Atomic.get t.pinned with
+      | Some (e, r, height) when e = epoch && r = root ->
+          Btree.attach ~config:(Btree.config t.tree) ~height snap ~root
+      | Some _ | None ->
+          (* the first pin of this epoch walks the leftmost path, so a
+             damaged committed root still raises typed corruption here *)
+          let tree = Btree.attach ~config:(Btree.config t.tree) snap ~root in
+          Atomic.set t.pinned (Some (epoch, root, Btree.height tree));
+          tree
     with e ->
       Storage.Pager.release_snapshot snap;
       raise e

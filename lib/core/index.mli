@@ -163,8 +163,12 @@ val snapshot_view : t -> t
     writer inserts, deletes or syncs concurrently.  For a file-backed
     index the view answers from the last {!sync} (raises
     {!Storage.Storage_error.Corruption} if the index was never synced);
-    for an in-memory index it answers from the current state.  Views
-    attach without a buffer pool (a pool caches the live image).
+    for an in-memory index it answers from the current state.  Only the
+    first view of a commit epoch walks the tree's leftmost path (reading
+    [height] pages, and raising typed corruption on a damaged root);
+    later views of the same committed image reuse the height and read no
+    pages.  Views attach without a buffer pool (a pool caches the live
+    image).
     Release with {!release_view}; one view belongs to one thread at a
     time.  Do not call the mutating operations, {!sync}, or
     {!add_path}/{!set_cache_pages} on a view. *)

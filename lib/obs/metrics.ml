@@ -80,6 +80,7 @@ let add c n = ignore (Atomic.fetch_and_add c.c_value n)
 let value c = Atomic.get c.c_value
 
 let set g v = Atomic.set g.g_value v
+let gauge_add g d = ignore (Atomic.fetch_and_add g.g_value d)
 let gauge_value g = Atomic.get g.g_value
 
 (* bucket index: 0 holds exactly 0; index i >= 1 holds [2^(i-1), 2^i) *)

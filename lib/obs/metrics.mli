@@ -60,6 +60,12 @@ val add : counter -> int -> unit
 val value : counter -> int
 
 val set : gauge -> int -> unit
+
+val gauge_add : gauge -> int -> unit
+(** [gauge_add g d] moves the gauge by [d] in one fetch-and-add, so a
+    gauge that counts live things (sessions, connections) can be its
+    own source of truth under concurrent updates. *)
+
 val gauge_value : gauge -> int
 
 val observe : histogram -> int -> unit

@@ -273,8 +273,9 @@ let query_response ?root t ~algo text =
           let s = Db.open_session t.db in
           Fun.protect ~finally:(fun () -> Db.close_session s) @@ fun () ->
           let pin_ns = ns_since pin0 in
-          (* pinning itself reads pages: each snapshot view's Btree.attach
-             walks the leftmost path to recover the tree height, before
+          (* pinning can read pages: the first pin of each commit epoch
+             walks every index's leftmost path to recover the tree height
+             (later pins of the epoch reuse it and read nothing), before
              the executor's stats baseline.  Charge those reads to the
              root span — exec children carry only descent reads, so
              [Trace.total root "page_reads"] equals every pager read the

@@ -21,6 +21,7 @@ let m_j_torn = Obs.Metrics.counter ~subsystem:"journal" "torn_discarded"
 let m_j_fsyncs = Obs.Metrics.counter ~subsystem:"journal" "fsyncs"
 
 let nil = 0xFFFFFFFF
+let next_epoch_id = Atomic.make 0
 
 (* ------------------------------------------------------------------ *)
 (* On-disk formats                                                     *)
@@ -117,17 +118,34 @@ type backend =
     }
   | Snap of snap
 
-(* An immutable read view of the parent's last committed image.  The
-   snapshot starts empty and reads through to the parent's committed
-   storage; when the writer is about to overwrite a committed page (a
-   Memory write/free, or a File checkpoint), the old image is stashed
-   into the overlay of every live snapshot that can still see it
-   (copy-on-commit).  Overlay entries are immutable once added. *)
+(* A read-only view of the parent's committed image: a thin handle on
+   the commit epoch it pinned, with its own stats and released flag. *)
 and snap = {
   parent : t;
-  overlay : (int, Bytes.t) Hashtbl.t;  (* stashed committed images *)
-  snap_live : bool array;  (* committed liveness at pin time *)
+  epoch : epoch;
   mutable released : bool;
+}
+
+(* A commit epoch: an immutable descriptor of one committed image of the
+   parent, frozen on the first pin after that image changed and shared
+   by every snapshot pinned before the next change.  Its snapshots read
+   through to the parent's committed storage; when the writer is about
+   to overwrite a committed page (a Memory write/free, or a File
+   checkpoint), the old image is stashed into the overlay of every
+   pinned epoch that can still see it (copy-on-commit) — once per epoch,
+   however many snapshots share it.  Overlay entries are immutable once
+   added.  The epoch that is still current never has overlay entries:
+   any stash also ends the current epoch. *)
+and epoch = {
+  e_id : int;  (* process-wide unique *)
+  e_used : int;
+  e_live : int;
+  e_free : int list;
+  e_meta : string;
+  e_live_map : bool array;  (* committed liveness, [e_used] entries *)
+  e_sums : Bytes.t;  (* pinned checksums, never mutated *)
+  overlay : (int, Bytes.t) Hashtbl.t;  (* stashed committed images *)
+  mutable pins : int;  (* unreleased snapshots on this epoch *)
 }
 
 and t = {
@@ -147,8 +165,12 @@ and t = {
   stats : Stats.t;
   lock : Mutex.t;
       (* serializes every state-touching operation on this pager with the
-         reads of snapshots pinned on it (they share the fd / page array) *)
-  mutable snaps : t list;  (* live snapshots pinned on this pager *)
+         reads of snapshots pinned on it (they share the fd / page array);
+         a snapshot shares its parent's *)
+  mutable current : epoch option;
+      (* the frozen descriptor of the committed image as it stands, if a
+         pin has frozen one since the image last changed *)
+  mutable pinned : epoch list;  (* epochs with live snapshots *)
   (* last committed allocation state (File backend; for Memory the live
      fields are the committed state, and for Snap these are frozen) *)
   mutable committed_meta : string;
@@ -306,7 +328,8 @@ let make ~page_size ~checksums backend =
     faults = None;
     stats = Stats.create ();
     lock = Mutex.create ();
-    snaps = [];
+    current = None;
+    pinned = [];
     committed_meta = "";
     committed_used = 0;
     committed_free = [];
@@ -507,10 +530,15 @@ let open_file ?page_size path =
 
 let check_open t = if t.closed then invalid_arg "Pager: store is closed"
 
+(* The committed image is about to change: the next pin freezes a new
+   epoch.  Called with [t.lock] held. *)
+let end_epoch t = t.current <- None
+
 (* write a committed image straight to the backend, bypassing the dirty
    table, the fault plan, and the checksum bookkeeping — this is the
    hardware losing a write, not the pager writing one *)
 let clobber_page t id b =
+  end_epoch t;
   match t.backend with
   | Memory m ->
       if id < Array.length m.pages && m.pages.(id) <> None then
@@ -527,15 +555,17 @@ let apply_stale t =
   | _ -> ()
 
 (* Called with [t.lock] held, just before page [id]'s committed image is
-   overwritten: preserve that image in the overlay of every live snapshot
-   that pinned it and has not stashed it yet.  [fetch] reads the current
-   committed image lazily (at most once per call); overlays may share the
-   fetched buffer because committed images are replaced, never mutated in
-   place, and overlay reads hand out copies. *)
+   overwritten: end the current epoch, and preserve that image in the
+   overlay of every pinned epoch that can still see it and has not
+   stashed it yet.  [fetch] reads the current committed image lazily (at
+   most once per call); overlays may share the fetched buffer because
+   committed images are replaced, never mutated in place, and overlay
+   reads hand out copies. *)
 let stash_committed t id fetch =
-  match t.snaps with
+  end_epoch t;
+  match t.pinned with
   | [] -> ()
-  | snaps ->
+  | epochs ->
       let cached = ref None in
       let get () =
         match !cached with
@@ -546,16 +576,10 @@ let stash_committed t id fetch =
             b
       in
       List.iter
-        (fun s ->
-          match s.backend with
-          | Snap sn
-            when (not sn.released)
-                 && id < s.used
-                 && sn.snap_live.(id)
-                 && not (Hashtbl.mem sn.overlay id) ->
-              Hashtbl.add sn.overlay id (get ())
-          | _ -> ())
-        snaps
+        (fun e ->
+          if id < e.e_used && e.e_live_map.(id) && not (Hashtbl.mem e.overlay id)
+          then Hashtbl.add e.overlay id (get ()))
+        epochs
 
 let sync_locked t =
   check_open t;
@@ -589,8 +613,9 @@ let sync_locked t =
         end;
         let logical = !logical in
         (* copy-on-commit: the checkpoint below overwrites these pages'
-           committed images in place, so stash the old images for any
-           snapshot still reading them *)
+           committed images in place, so end the current epoch and stash
+           the old images for any pinned epoch still reading them *)
+        end_epoch t;
         List.iter
           (fun (id, _) ->
             stash_committed t id (fun () ->
@@ -703,64 +728,92 @@ let durable t =
   | Memory _ -> false
   | Snap sn -> ( match sn.parent.backend with File _ -> true | _ -> false)
 
-let live_snapshots t = with_lock t (fun () -> List.length t.snaps)
+let live_snapshots t =
+  with_lock t (fun () -> List.fold_left (fun n e -> n + e.pins) 0 t.pinned)
+
+let retained_pages t =
+  with_lock t (fun () ->
+      List.fold_left (fun n e -> n + Hashtbl.length e.overlay) 0 t.pinned)
+
+(* The descriptor of the committed image as it stands, frozen on first
+   use.  Called with [t.lock] held; O(pages) once per epoch. *)
+let current_epoch t =
+  match t.current with
+  | Some e -> e
+  | None ->
+      let used, live, free, meta, live_map =
+        match t.backend with
+        | Snap _ -> invalid_arg "Pager.snapshot: cannot snapshot a snapshot"
+        | Memory m ->
+            (* memory writes apply immediately, so committed = current *)
+            ( t.used,
+              t.live,
+              t.free_list,
+              t.meta,
+              Array.init t.used (fun i -> m.pages.(i) <> None) )
+        | File _ ->
+            let lm = Array.make t.committed_used true in
+            List.iter
+              (fun id -> if id < t.committed_used then lm.(id) <- false)
+              t.committed_free;
+            ( t.committed_used,
+              t.committed_live,
+              t.committed_free,
+              t.committed_meta,
+              lm )
+      in
+      let e =
+        {
+          e_id = Atomic.fetch_and_add next_epoch_id 1;
+          e_used = used;
+          e_live = live;
+          e_free = free;
+          e_meta = meta;
+          e_live_map = live_map;
+          (* the pinned checksums: a media fault that rots a committed
+             page under a snapshot is still detected on its reads *)
+          e_sums = Bytes.sub t.sums 0 (min (Bytes.length t.sums) (used * 4));
+          overlay = Hashtbl.create 16;
+          pins = 0;
+        }
+      in
+      t.current <- Some e;
+      e
 
 let snapshot t =
   with_lock t @@ fun () ->
   check_open t;
-  let used, live, free_list, meta, snap_live =
-    match t.backend with
-    | Snap _ -> invalid_arg "Pager.snapshot: cannot snapshot a snapshot"
-    | Memory m ->
-        (* memory writes apply immediately, so committed = current *)
-        let sl = Array.init t.used (fun i -> m.pages.(i) <> None) in
-        (t.used, t.live, t.free_list, t.meta, sl)
-    | File _ ->
-        let sl = Array.make t.committed_used true in
-        List.iter
-          (fun id -> if id < t.committed_used then sl.(id) <- false)
-          t.committed_free;
-        ( t.committed_used,
-          t.committed_live,
-          t.committed_free,
-          t.committed_meta,
-          sl )
-  in
-  let s =
-    {
-      page_size = t.page_size;
-      checksums = t.checksums;
-      backend =
-        Snap
-          {
-            parent = t;
-            overlay = Hashtbl.create 16;
-            snap_live;
-            released = false;
-          };
-      used;
-      free_list;
-      live;
-      closed = false;
-      meta;
-      meta_dirty = false;
-      free_dirty = false;
-      phys_writes = 0;
-      (* the pinned checksums: a media fault that rots a committed page
-         under a snapshot is still detected on that snapshot's reads *)
-      sums = Bytes.copy t.sums;
-      faults = None;
-      stats = Stats.create ();
-      lock = Mutex.create ();  (* unused: snapshot ops take the parent's *)
-      snaps = [];
-      committed_meta = meta;
-      committed_used = used;
-      committed_free = free_list;
-      committed_live = live;
-    }
-  in
-  t.snaps <- s :: t.snaps;
-  s
+  let e = current_epoch t in
+  if e.pins = 0 then t.pinned <- e :: t.pinned;
+  e.pins <- e.pins + 1;
+  {
+    page_size = t.page_size;
+    checksums = t.checksums;
+    backend = Snap { parent = t; epoch = e; released = false };
+    used = e.e_used;
+    free_list = e.e_free;
+    live = e.e_live;
+    closed = false;
+    meta = e.e_meta;
+    meta_dirty = false;
+    free_dirty = false;
+    phys_writes = 0;
+    sums = e.e_sums;
+    faults = None;
+    stats = Stats.create ();
+    lock = t.lock;
+    current = None;
+    pinned = [];
+    committed_meta = e.e_meta;
+    committed_used = e.e_used;
+    committed_free = e.e_free;
+    committed_live = e.e_live;
+  }
+
+let epoch s =
+  match s.backend with
+  | Snap sn -> sn.epoch.e_id
+  | Memory _ | File _ -> invalid_arg "Pager.epoch: not a snapshot"
 
 let release_snapshot s =
   match s.backend with
@@ -769,7 +822,14 @@ let release_snapshot s =
       if not sn.released then begin
         sn.released <- true;
         s.closed <- true;
-        sn.parent.snaps <- List.filter (fun x -> x != s) sn.parent.snaps;
+        let e = sn.epoch in
+        e.pins <- e.pins - 1;
+        if e.pins = 0 then begin
+          (* the last reader of this image: its stashed pages go, and a
+             current epoch stays frozen for the next pin *)
+          sn.parent.pinned <- List.filter (fun x -> x != e) sn.parent.pinned;
+          Hashtbl.reset e.overlay
+        end;
         Stats.merge_into ~into:sn.parent.stats s.stats
       end
   | Memory _ | File _ -> invalid_arg "Pager.release_snapshot: not a snapshot"
@@ -823,6 +883,7 @@ let set_meta t m =
   if String.length m > meta_capacity t.page_size then
     invalid_arg "Pager.set_meta: metadata does not fit in the header page";
   if m <> t.meta then begin
+    (match t.backend with Memory _ -> end_epoch t | File _ | Snap _ -> ());
     t.meta <- m;
     t.meta_dirty <- true
   end
@@ -885,6 +946,7 @@ let create_faulty spec t =
   | Memory _ | File _ -> ());
   with_lock t @@ fun () ->
   let plan = { spec; reads_seen = 0; crashed = false; stale = [] } in
+  end_epoch t;
   t.faults <- Some plan;
   apply_media t plan;
   t
@@ -905,7 +967,7 @@ let is_live t id =
   match t.backend with
   | Memory m -> m.pages.(id) <> None
   | File f -> f.live_map.(id)
-  | Snap sn -> sn.snap_live.(id)
+  | Snap sn -> sn.epoch.e_live_map.(id)
 
 let high_water t = t.used
 let free_pages t = t.free_list
@@ -932,6 +994,7 @@ let alloc t =
   in
   (match t.backend with
   | Memory m ->
+      end_epoch t;
       if id >= Array.length m.pages then m.pages <- grow_array m.pages None;
       m.pages.(id) <- Some (Bytes.make t.page_size '\000');
       if t.checksums then
@@ -952,15 +1015,15 @@ let check_live t id =
 let read t id =
   match t.backend with
   | Snap sn ->
-      (* the snapshot's own bounds/liveness/sums are frozen, so only the
-         fetch from the parent's shared storage needs the parent's lock *)
+      (* the epoch's bounds/liveness/sums are frozen, so only the fetch
+         from its overlay or the parent's shared storage needs the lock *)
       check_live t id;
       Obs.Metrics.incr m_reads;
       t.stats.reads <- t.stats.reads + 1;
       let b =
         with_lock sn.parent @@ fun () ->
         if sn.released then invalid_arg "Pager.read: snapshot was released";
-        match Hashtbl.find_opt sn.overlay id with
+        match Hashtbl.find_opt sn.epoch.overlay id with
         | Some b -> Bytes.copy b
         | None -> (
             if sn.parent.closed then

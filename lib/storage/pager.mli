@@ -55,15 +55,21 @@
     {!snapshot} pins an immutable read view of the pager's last committed
     image as a read-only pager: file-backed pagers pin the on-disk state
     of the last {!sync}, in-memory pagers (whose writes apply
-    immediately) pin the current state.  Snapshots are copy-on-commit:
-    when the writer is about to overwrite a committed page — an in-memory
-    write/free, or a file checkpoint — the old image is stashed into the
-    overlay of every snapshot that can still see it, so snapshot reads
-    cost nothing until the writer actually commits over them.  A snapshot
-    carries its own {!Stats.t} (so per-query read accounting works
-    unchanged on a view) and its own pinned checksum table (so media rot
-    under a pinned page is still detected); {!release_snapshot} folds its
-    stats back into the parent.
+    immediately) pin the current state.  Every snapshot pinned on the
+    same committed image shares one {e commit epoch}: an immutable
+    descriptor (allocation state, metadata, liveness bitmap, pinned
+    checksum table) frozen in O(pages) by the first pin after the image
+    changed — a file {!sync} checkpoint, any in-memory
+    write/alloc/free/{!set_meta}, or {!create_faulty}.  Every later pin
+    of that image is O(1): a handle on the epoch, its own {!Stats.t},
+    and a released flag; no page is read or copied.  Snapshots are
+    copy-on-commit: when the writer is about to overwrite a committed
+    page, the old image is stashed once into the overlay of each pinned
+    epoch that can still see it, so snapshot reads cost nothing until
+    the writer actually commits over them.  Per-snapshot stats keep
+    per-query read accounting exact on a view, and the pinned checksum
+    table means media rot under a pinned page is still detected;
+    {!release_snapshot} folds the stats back into the parent.
 
     The concurrency contract is {e single writer, many snapshot
     readers}: all mutating operations must come from one thread at a
@@ -219,13 +225,22 @@ val snapshot : t -> t
     returns the committed metadata string — for a synced file-backed
     index this names the committed B-tree root.  The snapshot is valid
     until {!release_snapshot}; the parent may keep writing and syncing
-    concurrently, and the snapshot's contents never change.  Raises
+    concurrently, and the snapshot's contents never change.  The first
+    pin after the committed image changed freezes its epoch (O(pages));
+    every other pin is O(1) and reads no pages.  Raises
     [Invalid_argument] on a closed pager or on a snapshot. *)
 
 val release_snapshot : t -> unit
 (** Release a snapshot: its private read counters are merged into the
-    parent's {!stats} and its stashed pages are dropped.  Idempotent.
+    parent's {!stats} and its epoch's pin count drops by one, in O(1)
+    plus the (short) list of pinned epochs when it was the epoch's last
+    pin — then the epoch's stashed pages are dropped.  Idempotent.
     Reading a released snapshot raises [Invalid_argument]. *)
+
+val epoch : t -> int
+(** The id of the commit epoch a snapshot pinned.  Two snapshots of one
+    pager share an id iff they pinned the same committed image; ids are
+    unique process-wide.  Raises [Invalid_argument] on a non-snapshot. *)
 
 val is_snapshot : t -> bool
 
@@ -238,6 +253,11 @@ val durable : t -> bool
 val live_snapshots : t -> int
 (** Number of currently pinned, unreleased snapshots — for asserting
     that sessions drain. *)
+
+val retained_pages : t -> int
+(** Committed page images currently stashed for pinned snapshots, summed
+    over their epochs (each overwritten page counts once per epoch, not
+    once per snapshot); [0] once every snapshot is released. *)
 
 (** {1 Metadata and introspection} *)
 

@@ -469,6 +469,218 @@ let test_snapshot_group_boundaries () =
       Alcotest.(check int) "all bursts visible at the end" (bursts * g)
         (List.length (Db.session_query s idx q).Exec.bindings))
 
+(* --- commit epochs ------------------------------------------------------- *)
+
+let pager_reads () =
+  Option.value ~default:0 (Obs.Metrics.find Obs.Metrics.default "pager.reads")
+
+let view_epoch v = Storage.Pager.epoch (Btree.pager (Index.tree v))
+
+(* Two file-backed indexes under one Db, bulk-built and committed. *)
+let with_two_file_indexes f =
+  let e = Dg.exp1 ~n_vehicles:400 ~n_companies:12 ~n_employees:6 ~seed:31 () in
+  let b = e.ext.b in
+  let files = List.init 2 (fun _ -> Filename.temp_file "uindex_ep" ".pages") in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p ->
+          List.iter
+            (fun p -> try Sys.remove p with Sys_error _ -> ())
+            [ p; Storage.Pager.journal_path p ])
+        files)
+  @@ fun () ->
+  let pagers =
+    List.map (fun p -> Storage.Pager.create_file ~page_size:256 p) files
+  in
+  let ch =
+    Index.create_class_hierarchy (List.nth pagers 0) b.enc ~root:b.vehicle
+      ~attr:"color"
+  and path =
+    Index.create_path (List.nth pagers 1) b.enc ~head:b.vehicle
+      ~refs:[ "manufactured_by"; "president" ] ~attr:"age"
+  in
+  let db = Db.create e.store in
+  Db.add_index db ch;
+  Db.add_index db path;
+  Db.sync db;
+  Fun.protect ~finally:(fun () -> List.iter Storage.Pager.close pagers)
+  @@ fun () -> f db b [ ch; path ]
+
+(* Only the first pin of a commit epoch walks each index's leftmost
+   path; every later pin of the same committed image reads no page. *)
+let test_pin_reads_once_per_epoch () =
+  with_two_file_indexes @@ fun db b idxs ->
+  let heights () = List.map (fun i -> Btree.height (Index.tree i)) idxs in
+  Alcotest.(check bool) "trees have internal levels" true
+    (List.for_all (fun h -> h > 1) (heights ()));
+  let pin () =
+    let r0 = pager_reads () in
+    let s = Db.open_session db in
+    (s, pager_reads () - r0)
+  in
+  let s1, first = pin () in
+  Alcotest.(check int) "first pin walks height pages per index"
+    (List.fold_left ( + ) 0 (heights ()))
+    first;
+  let s2, second = pin () in
+  Alcotest.(check int) "a concurrent pin of the same image reads nothing" 0
+    second;
+  let epochs s = List.map view_epoch (Db.session_indexes s) in
+  let epochs1 = epochs s1 in
+  Alcotest.(check (list int)) "concurrent pins share each index's epoch"
+    epochs1 (epochs s2);
+  Db.close_session s1;
+  Db.close_session s2;
+  let s3, third = pin () in
+  Alcotest.(check int) "a pin after all releases reads nothing" 0 third;
+  Alcotest.(check (list int)) "the epoch outlives its last pin" epochs1
+    (epochs s3);
+  Db.close_session s3;
+  ignore (Db.insert db ~cls:b.vehicle [ ("color", Value.Str "ep-new") ]);
+  ignore (Db.commit db);
+  (* the vehicle has no manufacturer: only the class-hierarchy index's
+     pager commits, so only its epoch ends *)
+  let s4, fourth = pin () in
+  Alcotest.(check int) "the first pin after a commit walks the changed index"
+    (List.hd (heights ()))
+    fourth;
+  let epochs4 = epochs s4 in
+  Alcotest.(check (list bool)) "a commit starts a new epoch on its pager"
+    [ true; false ]
+    (List.map2 ( <> ) epochs1 epochs4);
+  let s5, fifth = pin () in
+  Alcotest.(check int) "then pins are free again" 0 fifth;
+  Db.close_session s4;
+  Db.close_session s5;
+  Alcotest.(check int) "sessions drained" 0 (Db.active_sessions ())
+
+(* K snapshots on one epoch, then two overwrite-and-checkpoint rounds:
+   every snapshot keeps reading its pinned bytes, each of the three
+   epochs sees its own image, and the overlay holds each overwritten
+   page once per epoch however many snapshots share it. *)
+let run_shared_epochs ~durable () =
+  let file = Filename.temp_file "uindex_se" ".pages" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        [ file; Storage.Pager.journal_path file ])
+  @@ fun () ->
+  let module P = Storage.Pager in
+  let ps = 128 and n = 6 and k = 5 in
+  let p =
+    if durable then P.create_file ~page_size:ps file
+    else P.create ~page_size:ps ~checksums:true ()
+  in
+  let image gen id = Bytes.make ps (Char.chr ((gen * 16) + id)) in
+  let ids = List.init n (fun _ -> P.alloc p) in
+  let write_all gen =
+    List.iter (fun id -> P.write p id (image gen id)) ids;
+    P.sync p
+  in
+  write_all 1;
+  let snaps1 = List.init k (fun _ -> P.snapshot p) in
+  let ep1 = P.epoch (List.hd snaps1) in
+  Alcotest.(check bool) "K pins share one epoch" true
+    (List.for_all (fun s -> P.epoch s = ep1) snaps1);
+  write_all 2;
+  let snap2 = P.snapshot p in
+  write_all 3;
+  let snap3 = P.snapshot p in
+  Alcotest.(check int) "three distinct epochs" 3
+    (List.length (List.sort_uniq compare [ ep1; P.epoch snap2; P.epoch snap3 ]));
+  Alcotest.(check int) "each overwritten page stashed once per epoch"
+    (2 * n) (P.retained_pages p);
+  Alcotest.(check int) "live snapshots" (k + 2) (P.live_snapshots p);
+  let reads_as gen s =
+    List.for_all (fun id -> Bytes.equal (P.read s id) (image gen id)) ids
+  in
+  List.iteri
+    (fun i s ->
+      Alcotest.(check bool)
+        (Printf.sprintf "snapshot %d reads its pinned bytes" i)
+        true (reads_as 1 s))
+    snaps1;
+  Alcotest.(check bool) "epoch 2 sees its own image" true (reads_as 2 snap2);
+  Alcotest.(check bool) "epoch 3 sees its own image" true (reads_as 3 snap3);
+  List.iter P.release_snapshot (snap2 :: snap3 :: snaps1);
+  Alcotest.(check int) "no snapshots left" 0 (P.live_snapshots p);
+  Alcotest.(check int) "no overlay retained" 0 (P.retained_pages p);
+  P.close p
+
+(* A media fault armed after an epoch was frozen (and its height
+   memoized) must not be masked by the memo: a session pinned afterwards
+   raises typed corruption, at pin or at its first read. *)
+let test_fault_after_freeze () =
+  with_two_file_indexes @@ fun db b idxs ->
+  let ch = List.hd idxs in
+  Db.close_session (Db.open_session db);
+  let root = Btree.root (Index.tree ch) in
+  ignore
+    (Storage.Pager.create_faulty
+       {
+         Storage.Pager.no_faults with
+         media = [ Storage.Pager.Flip_bit { page = root; bit = 77 } ];
+       }
+       (Btree.pager (Index.tree ch)));
+  let q =
+    Query.class_hierarchy
+      ~value:(Query.V_eq (Value.Str "Red"))
+      (Query.P_subtree b.vehicle)
+  in
+  (match Db.with_session db (fun s -> Db.session_query s ch q) with
+  | exception Storage.Storage_error.Corruption { page; _ } ->
+      Alcotest.(check (option int)) "the damaged page is named" (Some root) page
+  | _ -> Alcotest.fail "a flipped root bit was served silently");
+  Alcotest.(check int) "sessions drained" 0 (Db.active_sessions ())
+
+(* The session gauge and the session count must agree after racing
+   closes.  Two domains pin a session each, meet at a barrier, close
+   together and meet again; then no session is open until the third
+   meeting, so both the gauge and the count must read 0 — a gauge set
+   from a stale read of the count shows up as a phantom session. *)
+let test_session_gauge_race () =
+  let e = Dg.exp1 ~n_vehicles:100 ~seed:5 () in
+  let db = Db.create e.store in
+  Db.attach_index db e.ch_color;
+  Db.attach_index db e.path_age;
+  let gauge () =
+    Option.get (Obs.Metrics.find Obs.Metrics.default "db.active_sessions")
+  in
+  let rounds = 5000 in
+  let arrived = Atomic.make 0 in
+  (* a reusable two-party barrier: the [k]-th meeting completes when
+     [arrived] reaches [2k]; it spins, then sleeps, so it also makes
+     progress on a host with one free core *)
+  let meet k =
+    Atomic.incr arrived;
+    let spins = ref 0 in
+    while Atomic.get arrived < 2 * k do
+      incr spins;
+      if !spins < 1000 then Domain.cpu_relax () else Unix.sleepf 1e-5
+    done
+  in
+  let worker w =
+    Domain.spawn (fun () ->
+        let stale = ref 0 in
+        for r = 1 to rounds do
+          let s = Db.open_session db in
+          meet ((3 * r) - 2);
+          Db.close_session s;
+          meet ((3 * r) - 1);
+          if w = 0 && (gauge () <> 0 || Db.active_sessions () <> 0) then
+            incr stale;
+          meet (3 * r)
+        done;
+        !stale)
+  in
+  let stale = List.fold_left ( + ) 0 (List.map Domain.join [ worker 0; worker 1 ]) in
+  Alcotest.(check int) "rounds ending with a phantom session" 0 stale;
+  Alcotest.(check int) "gauge = active_sessions" (Db.active_sessions ())
+    (gauge ());
+  Alcotest.(check int) "active_sessions drained" 0 (Db.active_sessions ())
+
 let () =
   Alcotest.run "concurrent"
     [
@@ -486,7 +698,23 @@ let () =
           Alcotest.test_case "file view" `Quick
             (run_pin_before_commit ~durable:true);
         ] );
-      ("sessions", [ Alcotest.test_case "Db sessions" `Quick test_db_sessions ]);
+      ( "sessions",
+        [
+          Alcotest.test_case "Db sessions" `Quick test_db_sessions;
+          Alcotest.test_case "gauge after racing closes" `Quick
+            test_session_gauge_race;
+        ] );
+      ( "epochs",
+        [
+          Alcotest.test_case "pins read no pages within an epoch" `Quick
+            test_pin_reads_once_per_epoch;
+          Alcotest.test_case "memory: shared epochs keep isolation" `Quick
+            (run_shared_epochs ~durable:false);
+          Alcotest.test_case "file: shared epochs keep isolation" `Quick
+            (run_shared_epochs ~durable:true);
+          Alcotest.test_case "media fault after freeze" `Quick
+            test_fault_after_freeze;
+        ] );
       ( "watermark",
         [
           Alcotest.test_case "async commit semantics" `Quick
