@@ -83,11 +83,16 @@ let merge_span trace (acc, n) =
 
 (* Mutable per-query segment accounting for the scan loops.  A segment is
    one B-tree descent plus the sequential scan that follows it; the
-   parallel algorithm opens a new segment at every [Plan.Seek]. *)
+   parallel algorithm opens a new segment at every [Plan.Seek], hundreds
+   per range query.  Closed segment spans are consed newest-first and
+   attached to the parent in one batch by [seg_finish], so a query's span
+   tree costs O(segments) to build — appending each segment to the
+   parent's children as it closed would rebuild that list every time. *)
 type seg_state = {
   parent : Trace.span;
   stats : Stats.t;
-  mutable sp : Trace.span option;
+  mutable name : string option;  (* the open segment, if any *)
+  mutable closed : Trace.span list;  (* newest first *)
   mutable start_reads : int;
   mutable start_pool_hits : int;
   mutable entries : int;
@@ -102,7 +107,8 @@ let seg_make trace stats =
         {
           parent;
           stats;
-          sp = None;
+          name = None;
+          closed = [];
           start_reads = 0;
           start_pool_hits = 0;
           entries = 0;
@@ -112,23 +118,34 @@ let seg_make trace stats =
 let seg_close = function
   | None -> ()
   | Some s -> (
-      match s.sp with
+      match s.name with
       | None -> ()
-      | Some sp ->
-          Trace.add_field sp "page_reads" (s.stats.Stats.reads - s.start_reads);
+      | Some name ->
           let hits = s.stats.Stats.pool_hits - s.start_pool_hits in
-          if hits > 0 then Trace.add_field sp "pool_hits" hits;
-          Trace.add_field sp "entries" s.entries;
-          Trace.add_field sp "accepted" s.accepted;
-          Trace.add_child s.parent sp;
-          s.sp <- None)
+          let counts = [ ("entries", s.entries); ("accepted", s.accepted) ] in
+          let fields =
+            ("page_reads", s.stats.Stats.reads - s.start_reads)
+            :: (if hits > 0 then ("pool_hits", hits) :: counts else counts)
+          in
+          s.closed <- Trace.span ~fields name :: s.closed;
+          s.name <- None)
+
+(* Closes the open segment and attaches every segment, in execution
+   order, after the parent's existing children. *)
+let seg_finish seg =
+  seg_close seg;
+  match seg with
+  | None -> ()
+  | Some s ->
+      Trace.add_children s.parent (List.rev s.closed);
+      s.closed <- []
 
 let seg_open seg name =
   match seg with
   | None -> ()
   | Some s ->
       seg_close seg;
-      s.sp <- Some (Trace.span name);
+      s.name <- Some name;
       s.start_reads <- s.stats.Stats.reads;
       s.start_pool_hits <- s.stats.Stats.pool_hits;
       s.entries <- 0;
@@ -204,7 +221,7 @@ let forward_impl ?trace idx query =
           let first = Btree.Scanner.seek sc lo in
           seg_open seg "scan";
           let r = go [] 0 None first in
-          seg_close seg;
+          seg_finish seg;
           merge_span trace r)
 
 let parallel_impl ?trace idx query =
@@ -249,7 +266,7 @@ let parallel_impl ?trace idx query =
       | Some lo ->
           seg_open seg "descent";
           let r = go [] 0 (Btree.Scanner.seek sc lo) in
-          seg_close seg;
+          seg_finish seg;
           merge_span trace r)
 
 let algo_name = function `Forward -> "forward" | `Parallel -> "parallel"

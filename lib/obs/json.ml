@@ -6,23 +6,30 @@ type t =
   | Str of string
   | List of t list
   | Obj of (string * t) list
+  | Raw of string
 
 (* --- printing ---------------------------------------------------------- *)
 
-let escape buf s =
+(* Runs of bytes that need no escaping are copied whole. *)
+let add_quoted buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
+  let n = String.length s in
+  let start = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      Buffer.add_substring buf s !start (i - !start);
+      (match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+      | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)));
+      start := i + 1
+    end
+  done;
+  Buffer.add_substring buf s !start (n - !start);
   Buffer.add_char buf '"'
 
 let float_str f =
@@ -35,7 +42,8 @@ let rec write buf = function
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int i -> Buffer.add_string buf (string_of_int i)
   | Float f -> Buffer.add_string buf (float_str f)
-  | Str s -> escape buf s
+  | Str s -> add_quoted buf s
+  | Raw s -> Buffer.add_string buf s
   | List l ->
       Buffer.add_char buf '[';
       List.iteri
@@ -49,7 +57,7 @@ let rec write buf = function
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char buf ',';
-          escape buf k;
+          add_quoted buf k;
           Buffer.add_char buf ':';
           write buf v)
         kvs;
@@ -69,7 +77,7 @@ let to_multiline v =
         (fun i (k, v) ->
           if i > 0 then Buffer.add_string buf ",\n";
           Buffer.add_string buf "  ";
-          escape buf k;
+          add_quoted buf k;
           Buffer.add_string buf ": ";
           write buf v)
         kvs;

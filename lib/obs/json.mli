@@ -16,9 +16,19 @@ type t =
   | Str of string
   | List of t list
   | Obj of (string * t) list
+  | Raw of string
+      (** Printer-only: bytes the printers copy verbatim, for splicing an
+          already-rendered value (a reply's sorted rows) into a document
+          without re-rendering it.  The caller guarantees they are one
+          valid compact JSON value.  {!of_string} never returns [Raw], and
+          the accessors treat it as an opaque non-object. *)
 
 val to_string : t -> string
 (** Compact single-line rendering (no insignificant whitespace). *)
+
+val add_quoted : Buffer.t -> string -> unit
+(** Appends a string as a quoted JSON literal — the bytes
+    [to_string (Str s)] renders. *)
 
 val to_multiline : t -> string
 (** Line-oriented rendering: one top-level object member per line —

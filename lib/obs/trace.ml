@@ -13,6 +13,7 @@ let add_field sp k v =
   else sp.fields <- sp.fields @ [ (k, v) ]
 
 let add_child sp child = sp.children <- sp.children @ [ child ]
+let add_children sp cs = sp.children <- sp.children @ cs
 
 let field sp k = List.assoc_opt k sp.fields
 

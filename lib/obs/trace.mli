@@ -27,6 +27,11 @@ val add_field : span -> string -> int -> unit
 val add_child : span -> span -> unit
 (** Appends a child span (kept in execution order). *)
 
+val add_children : span -> span list -> unit
+(** Appends children given in execution order, in one pass: the cost is
+    the length of both lists, so a parent that batches its children
+    builds its span tree in linear time. *)
+
 val field : span -> string -> int option
 
 val total : span -> string -> int

@@ -108,35 +108,66 @@ let telemetry t = t.tel
 
 (* --- rendering -------------------------------------------------------- *)
 
-let value_json = function
-  | Value.Null -> Json.Null
-  | Value.Int i -> Json.Int i
-  | Value.Str s -> Json.Str s
-  | Value.Ref o -> Json.Obj [ ("ref", Json.Int o) ]
-  | Value.Ref_set os -> Json.List (List.map (fun o -> Json.Int o) os)
-
-let binding_json schema (b : Uindex.Exec.binding) =
-  Json.Obj
-    [
-      ("value", value_json b.value);
-      ( "comps",
-        Json.List
-          (List.map
-             (fun (cls, oid) ->
-               Json.List [ Json.Str (Schema.name schema cls); Json.Int oid ])
-             b.comps) );
-    ]
-
-(* A canonical row order: Exec already returns a deterministic order per
-   snapshot, but sorting rendered rows makes concurrent replies
-   byte-comparable against a sequential baseline without trusting that. *)
-let rows_json schema bindings =
-  let rendered = List.map (binding_json schema) bindings in
-  let keyed = List.map (fun j -> (Json.to_string j, j)) rendered in
-  let sorted =
-    List.sort (fun (a, _) (b, _) -> String.compare a b) keyed
+(* One row's JSON bytes, [{"value":…,"comps":[[class,oid],…]}], written
+   straight into [buf]. *)
+let add_row buf schema (b : Uindex.Exec.binding) =
+  let add_int i = Buffer.add_string buf (string_of_int i) in
+  let add_list f l =
+    Buffer.add_char buf '[';
+    List.iteri
+      (fun i x ->
+        if i > 0 then Buffer.add_char buf ',';
+        f x)
+      l;
+    Buffer.add_char buf ']'
   in
-  Json.List (List.map snd sorted)
+  Buffer.add_string buf "{\"value\":";
+  (match b.value with
+  | Value.Null -> Buffer.add_string buf "null"
+  | Value.Int i -> add_int i
+  | Value.Str s -> Json.add_quoted buf s
+  | Value.Ref o ->
+      Buffer.add_string buf "{\"ref\":";
+      add_int o;
+      Buffer.add_char buf '}'
+  | Value.Ref_set os -> add_list add_int os);
+  Buffer.add_string buf ",\"comps\":";
+  add_list
+    (fun (cls, oid) ->
+      Buffer.add_char buf '[';
+      Json.add_quoted buf (Schema.name schema cls);
+      Buffer.add_char buf ',';
+      add_int oid;
+      Buffer.add_char buf ']')
+    b.comps;
+  Buffer.add_char buf '}'
+
+(* The canonical row order is the byte order of the rendered rows: each
+   row is rendered once, the strings are sorted, and the sorted rows are
+   joined into the array.  Exec already returns a deterministic order per
+   snapshot, but sorting makes concurrent replies byte-comparable against
+   a sequential baseline without trusting that, and a router can restore
+   it by merging its shards' already-sorted arrays as byte streams. *)
+let render_rows schema bindings =
+  let buf = Buffer.create 128 in
+  let row b =
+    Buffer.clear buf;
+    add_row buf schema b;
+    Buffer.contents buf
+  in
+  let rows = List.sort String.compare (List.map row bindings) in
+  let out =
+    Buffer.create
+      (List.fold_left (fun n r -> n + String.length r + 1) 2 rows)
+  in
+  Buffer.add_char out '[';
+  List.iteri
+    (fun i r ->
+      if i > 0 then Buffer.add_char out ',';
+      Buffer.add_string out r)
+    rows;
+  Buffer.add_char out ']';
+  Buffer.contents out
 
 let hex_id = Printf.sprintf "%x"
 
@@ -311,7 +342,7 @@ let query_response ?root t ~algo text =
             [
               ("type", Json.Str "rows");
               ("count", Json.Int (List.length out.bindings));
-              ("rows", rows_json t.schema out.bindings);
+              ("rows", Json.Raw (render_rows t.schema out.bindings));
               ("page_reads", Json.Int out.page_reads);
               ("pool_hits", Json.Int out.pool_hits);
               ("entries_scanned", Json.Int out.entries_scanned);

@@ -6,9 +6,12 @@
     {!Uindex.Db.session}, so every request sees one committed snapshot no
     matter what the writer does meanwhile.
 
-    Rows are rendered in a canonical sorted order, so two replies to the
-    same query against the same snapshot are byte-identical regardless of
-    which worker (or process) produced them.
+    Rows are rendered in a canonical sorted order (see {!render_rows}), so
+    two replies to the same query against the same snapshot are
+    byte-identical regardless of which worker (or process) produced them.
+    A query reply's document carries its rows as an {!Obs.Json.Raw} leaf,
+    so [Json.to_string] of {!handle}'s result is exactly {!serve_line}'s
+    bytes.
 
     {b Telemetry.}  Every request flows through one pipeline that feeds
     per-stage histograms ([server.queue_wait_ns], [server.session_pin_ns],
@@ -90,6 +93,12 @@ val serve_line : ?queued_ns:int -> ?deadline:float -> t -> string -> string
     request.  [?queued_ns] is how long the connection waited in the
     accept queue; it is observed on the first request of the connection
     and recorded on its root span. *)
+
+val render_rows : Oodb_schema.Schema.t -> Uindex.Exec.binding list -> string
+(** The [rows] array of a query reply: each binding rendered once as
+    [{"value":…,"comps":[[class,oid],…]}], and the rows in the canonical
+    order — the byte order of their rendered strings.  Replies splice
+    these bytes in as an {!Obs.Json.Raw} leaf. *)
 
 val slow_log_json : ?limit:int -> t -> Obs.Json.t
 (** Snapshot of the slow-query log, newest first — the same document

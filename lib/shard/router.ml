@@ -153,6 +153,171 @@ let shard_failure_reply t client_id ~contacted ~lost =
   let resp = Protocol.error ~detail Protocol.Shard_failure in
   match client_id with Some id -> attach_trace_id id resp | None -> resp
 
+(* --- streaming merge ----------------------------------------------------- *)
+
+(* A shard's reply is not parsed into a tree: a string-aware bracket scan
+   of its top-level members finds the [rows] array and the byte extent of
+   every row in it, and only the small remainder — the reply with that
+   array emptied — goes through [Json.of_string]. *)
+
+exception Malformed of string
+
+let malformed fmt = Printf.ksprintf (fun m -> raise (Malformed m)) fmt
+
+let char_at s i =
+  if i < String.length s then String.unsafe_get s i
+  else malformed "unexpected end of reply at byte %d" i
+
+let rec skip_ws s i =
+  if i < String.length s then
+    match String.unsafe_get s i with
+    | ' ' | '\t' | '\n' | '\r' -> skip_ws s (i + 1)
+    | _ -> i
+  else i
+
+(* the index just past the string literal whose opening quote is at [i] *)
+let skip_string s i =
+  let rec go j =
+    match char_at s j with '"' -> j + 1 | '\\' -> go (j + 2) | _ -> go (j + 1)
+  in
+  go (i + 1)
+
+(* The index just past the value starting at [i]: strings are skipped
+   whole and brackets must close in kind; scalars run to the next
+   delimiter and are left to whoever reads them. *)
+let rec skip_value s i =
+  match char_at s i with
+  | '"' -> skip_string s i
+  | '[' -> skip_items s (i + 1) ']'
+  | '{' -> skip_items s (i + 1) '}'
+  | _ ->
+      let rec scalar j =
+        if j < String.length s then
+          match String.unsafe_get s j with
+          | ',' | ':' | ']' | '}' | ' ' | '\t' | '\n' | '\r' -> j
+          | _ -> scalar (j + 1)
+        else j
+      in
+      let j = scalar i in
+      if j = i then malformed "expected a value at byte %d" i else j
+
+(* The index just past the items up to the [close] bracket, passing
+   each item's extent to [f]; an object's names and values are both
+   items, separated by ':' and ',' in turn. *)
+and skip_items ?(f = fun _ _ -> ()) s i close =
+  let rec item i =
+    let i = skip_ws s i in
+    let j = skip_value s i in
+    f i j;
+    let k = skip_ws s j in
+    match char_at s k with
+    | ',' -> item (k + 1)
+    | ':' when close = '}' -> item (k + 1)
+    | c when c = close -> k + 1
+    | c -> malformed "unexpected %C at byte %d" c k
+  in
+  let i = skip_ws s i in
+  if char_at s i = close then i + 1 else item i
+
+type split = {
+  payload : string;
+  rows : (int * int) array;  (* [start, stop) of each row, in reply order *)
+  rest : Json.t;  (* the reply with its rows array emptied *)
+}
+
+let split_reply payload =
+  let rows = ref None in
+  let rec members i =
+    let i = skip_ws payload i in
+    if char_at payload i <> '"' then
+      malformed "expected a member name at byte %d" i;
+    let k = skip_string payload i in
+    let v = skip_ws payload k in
+    if char_at payload v <> ':' then malformed "expected : at byte %d" v;
+    let v = skip_ws payload (v + 1) in
+    let stop =
+      if String.sub payload i (k - i) = "\"rows\"" && char_at payload v = '['
+      then begin
+        let extents = ref [] in
+        let f a b = extents := (a, b) :: !extents in
+        let stop = skip_items ~f payload (v + 1) ']' in
+        rows := Some (v, stop, List.rev !extents);
+        stop
+      end
+      else skip_value payload v
+    in
+    let j = skip_ws payload stop in
+    match char_at payload j with
+    | ',' -> members (j + 1)
+    | '}' -> ()
+    | c -> malformed "unexpected %C at byte %d" c j
+  in
+  let i = skip_ws payload 0 in
+  if char_at payload i <> '{' then malformed "expected an object";
+  members (i + 1);
+  match !rows with
+  | None -> { payload; rows = [||]; rest = Json.of_string payload }
+  | Some (a, b, extents) ->
+      let rest =
+        String.sub payload 0 a ^ "[]"
+        ^ String.sub payload b (String.length payload - b)
+      in
+      { payload; rows = Array.of_list extents; rest = Json.of_string rest }
+
+let compare_rows x (a, a') y (b, b') =
+  let la = a' - a and lb = b' - b in
+  let n = min la lb in
+  let rec go i =
+    if i = n then Int.compare la lb
+    else
+      let c =
+        Char.compare
+          (String.unsafe_get x.payload (a + i))
+          (String.unsafe_get y.payload (b + i))
+      in
+      if c <> 0 then c else go (i + 1)
+  in
+  go 0
+
+(* Every shard rendered its rows in the canonical byte order and each
+   entry lives on exactly one shard, so a k-way merge of the row slices
+   is byte-identical to the unsharded rendering. *)
+let merge_rows splits =
+  let streams = Array.of_list splits in
+  let next = Array.make (Array.length streams) 0 in
+  let bytes =
+    Array.fold_left
+      (fun n sp ->
+        Array.fold_left (fun n (a, b) -> n + b - a + 1) n sp.rows)
+      2 streams
+  in
+  let out = Buffer.create bytes in
+  Buffer.add_char out '[';
+  let rec emit first =
+    let best = ref (-1) in
+    Array.iteri
+      (fun k sp ->
+        if next.(k) < Array.length sp.rows then
+          if
+            !best < 0
+            || compare_rows sp sp.rows.(next.(k)) streams.(!best)
+                 streams.(!best).rows.(next.(!best))
+               < 0
+          then best := k)
+      streams;
+    if !best >= 0 then begin
+      let sp = streams.(!best) in
+      let a, b = sp.rows.(next.(!best)) in
+      if not first then Buffer.add_char out ',';
+      Buffer.add_substring out sp.payload a (b - a);
+      next.(!best) <- next.(!best) + 1;
+      emit false
+    end
+  in
+  emit true;
+  Buffer.add_char out ']';
+  Buffer.contents out
+
 let merge_replies t client_id ~targets replies =
   let m0 = Unix.gettimeofday () in
   let parsed =
@@ -161,9 +326,9 @@ let merge_replies t client_id ~targets replies =
         match r with
         | Lost why -> (i, Error why)
         | Replied payload -> (
-            match Json.of_string payload with
-            | j -> (i, Ok j)
-            | exception Json.Parse_error msg ->
+            match split_reply payload with
+            | sp -> (i, Ok sp)
+            | exception (Malformed msg | Json.Parse_error msg) ->
                 (i, Error ("unparseable shard reply: " ^ msg))))
       targets replies
   in
@@ -172,8 +337,10 @@ let merge_replies t client_id ~targets replies =
       (function (i, Error why) -> Some (i, why) | _ -> None)
       parsed
   in
-  let oks = List.filter_map (function (_, Ok j) -> Some j | _ -> None) parsed in
-  let errors = List.filter (fun j -> not (Protocol.response_is_ok j)) oks in
+  let oks = List.filter_map (function (_, Ok sp) -> Some sp | _ -> None) parsed in
+  let errors =
+    List.filter (fun sp -> not (Protocol.response_is_ok sp.rest)) oks
+  in
   if lost <> [] then
     Some (shard_failure_reply t client_id ~contacted:targets ~lost)
   else if errors <> [] then begin
@@ -182,7 +349,7 @@ let merge_replies t client_id ~targets replies =
        a partial failure *)
     let kinds =
       List.sort_uniq compare
-        (List.filter_map Protocol.response_error_kind errors)
+        (List.filter_map (fun sp -> Protocol.response_error_kind sp.rest) errors)
     in
     match kinds with
     | [ _ ] when List.length errors = List.length oks -> None (* pass through *)
@@ -191,36 +358,27 @@ let merge_replies t client_id ~targets replies =
           List.filter_map
             (fun (i, r) ->
               match r with
-              | Ok j when not (Protocol.response_is_ok j) ->
+              | Ok sp when not (Protocol.response_is_ok sp.rest) ->
                   Some
                     ( i,
                       Printf.sprintf "%s reply"
                         (Option.value ~default:"error"
-                           (Protocol.response_error_kind j)) )
+                           (Protocol.response_error_kind sp.rest)) )
               | _ -> None)
             parsed
         in
         Some (shard_failure_reply t client_id ~contacted:targets ~lost)
   end
   else begin
-    let rows =
-      List.concat_map
-        (fun j ->
-          match Json.member "rows" j with Some (Json.List l) -> l | _ -> [])
-        oks
-    in
-    (* each entry lives on exactly one shard and every shard rendered its
-       rows in the canonical order; re-sorting the rendered strings makes
-       the merged list byte-identical to the unsharded rendering *)
-    let keyed = List.map (fun j -> (Json.to_string j, j)) rows in
-    let sorted = List.sort (fun (a, _) (b, _) -> String.compare a b) keyed in
-    let sum f = List.fold_left (fun a j -> a + jint j f) 0 oks in
+    let sum f = List.fold_left (fun a sp -> a + jint sp.rest f) 0 oks in
     let resp =
       Protocol.ok
         [
           ("type", Json.Str "rows");
-          ("count", Json.Int (List.length sorted));
-          ("rows", Json.List (List.map snd sorted));
+          ( "count",
+            Json.Int
+              (List.fold_left (fun n sp -> n + Array.length sp.rows) 0 oks) );
+          ("rows", Json.Raw (merge_rows oks));
           ("page_reads", Json.Int (sum "page_reads"));
           ("pool_hits", Json.Int (sum "pool_hits"));
           ("entries_scanned", Json.Int (sum "entries_scanned"));
@@ -380,10 +538,10 @@ let serve_line ?(queued_ns = 0) ?deadline t line =
   let is_error =
     match answer with
     | `Doc doc -> not (Protocol.response_is_ok doc)
-    | `Raw payload -> (
-        match Json.of_string payload with
-        | j -> not (Protocol.response_is_ok j)
-        | exception Json.Parse_error _ -> true)
+    | `Raw payload ->
+        (* [Protocol.ok] always renders its [ok] member first, so a
+           forwarded reply is a success exactly when it starts with it *)
+        not (String.starts_with ~prefix:"{\"ok\":true," payload)
   in
   if is_error then Metrics.incr c_request_errors;
   payload

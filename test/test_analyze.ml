@@ -144,6 +144,55 @@ let test_span_shape () =
     [ "plan"; "descent"; "scan"; "merge" ]
     (List.map (fun (s : Trace.span) -> s.Trace.name) sp.Trace.children)
 
+(* A range over every key with alternate classes re-descends at every
+   class gap of every key: hundreds of seek segments, each its own span.
+   Batching their attachment must keep the children in execution order —
+   plan, then the segments, then merge — with the page reads still
+   summing to the pager-stats delta. *)
+let test_span_order_many_segments () =
+  let d = Lazy.force small in
+  let stats = Pager.stats (Btree.pager (Index.tree d.uindex)) in
+  let alternate =
+    List.filteri (fun i _ -> i mod 2 = 0) (Array.to_list d.Dg.classes)
+  in
+  let q = q_of ~lo:0 ~hi:39 ~sets:alternate in
+  let before = Stats.snapshot stats in
+  let o, sp = Exec.analyze ~algo:`Parallel d.uindex q in
+  let delta = Stats.diff ~before ~after:(Stats.snapshot stats) in
+  let names = List.map (fun (s : Trace.span) -> s.Trace.name) sp.Trace.children in
+  let segments = List.filter (( = ) "descent") names in
+  Alcotest.(check bool)
+    (Printf.sprintf "at least 200 seek segments (got %d)" (List.length segments))
+    true
+    (List.length segments >= 200);
+  Alcotest.(check (list string)) "plan; descent...; merge"
+    (("plan" :: segments) @ [ "merge" ])
+    names;
+  Alcotest.(check int) "span tree = pager oracle" delta.Stats.reads
+    (Trace.total sp "page_reads");
+  Alcotest.(check int) "span entries = scanned" o.Exec.entries_scanned
+    (Trace.total sp "entries");
+  Alcotest.(check int) "accepted = bindings" (List.length o.Exec.bindings)
+    (Trace.total sp "accepted");
+  (* the query's page cache starts cold, so only the first segment in
+     execution order reads the whole root-to-leaf path; later descents
+     find the inner nodes cached *)
+  let reads =
+    List.filter_map
+      (fun (s : Trace.span) ->
+        if s.Trace.name = "descent" then Trace.field s "page_reads" else None)
+      sp.Trace.children
+  in
+  let height = Btree.height (Index.tree d.uindex) in
+  Alcotest.(check bool) "first segment reads the root path" true
+    (List.hd reads >= height);
+  Alcotest.(check bool) "last segment finds inner nodes cached" true
+    (List.nth reads (List.length reads - 1) < height);
+  let _, sp = Exec.analyze ~algo:`Forward d.uindex q in
+  Alcotest.(check (list string)) "forward shape"
+    [ "plan"; "descent"; "scan"; "merge" ]
+    (List.map (fun (s : Trace.span) -> s.Trace.name) sp.Trace.children)
+
 let test_global_sink_emission () =
   let d = Lazy.force small in
   let q = q_of ~lo:5 ~hi:9 ~sets:(Array.to_list d.Dg.classes) in
@@ -299,6 +348,8 @@ let () =
             test_analyze_matches_oracle_pooled;
           Alcotest.test_case "analyze = run" `Quick test_analyze_same_answers;
           Alcotest.test_case "span shape" `Quick test_span_shape;
+          Alcotest.test_case "span order, 200+ segments" `Quick
+            test_span_order_many_segments;
           Alcotest.test_case "global sink emission" `Quick
             test_global_sink_emission;
         ] );

@@ -696,6 +696,140 @@ let test_session_leak_under_chaos () =
       done;
       assert_sessions_drained "chaos mix")
 
+(* --- row rendering ------------------------------------------------------ *)
+
+module Schema = Oodb_schema.Schema
+module Ps = Workload.Paper_schema
+module Exec = Uindex.Exec
+
+(* The renderer rows used to go through, kept as the oracle: a Json tree
+   per binding, stringified as a sort key, the trees sorted by key. *)
+let oracle_rows schema bindings =
+  let value_json = function
+    | Value.Null -> Json.Null
+    | Value.Int i -> Json.Int i
+    | Value.Str s -> Json.Str s
+    | Value.Ref o -> Json.Obj [ ("ref", Json.Int o) ]
+    | Value.Ref_set os -> Json.List (List.map (fun o -> Json.Int o) os)
+  in
+  let binding_json (b : Exec.binding) =
+    Json.Obj
+      [
+        ("value", value_json b.value);
+        ( "comps",
+          Json.List
+            (List.map
+               (fun (cls, oid) ->
+                 Json.List [ Json.Str (Schema.name schema cls); Json.Int oid ])
+               b.comps) );
+      ]
+  in
+  let keyed = List.map (fun j -> (Json.to_string j, j)) (List.map binding_json bindings) in
+  let sorted = List.sort (fun (a, _) (b, _) -> String.compare a b) keyed in
+  Json.to_string (Json.List (List.map snd sorted))
+
+let every_byte = String.init 256 Char.chr
+
+let test_render_rows_oracle () =
+  let b = Ps.base () in
+  let schema = b.Ps.schema in
+  let comps =
+    [
+      [ (b.Ps.vehicle, 7) ];
+      [ (b.Ps.company, 12); (b.Ps.truck, 3) ];
+      [ (b.Ps.employee, 1000); (b.Ps.auto_company, 999); (b.Ps.compact, 0) ];
+    ]
+  in
+  let values =
+    [
+      Value.Null;
+      Value.Int 0;
+      Value.Int (-42);
+      Value.Int 1000;
+      Value.Int 999;
+      Value.Int min_int;
+      Value.Str "";
+      Value.Str "Red";
+      Value.Str "quote \" backslash \\ slash /";
+      Value.Str "ctl \n\r\t\b\012\000\031 del \127";
+      Value.Str "caf\xc3\xa9 \xe2\x82\xac \xff\xfe";
+      Value.Str every_byte;
+      Value.Ref 5;
+      Value.Ref_set [];
+      Value.Ref_set [ 3 ];
+      Value.Ref_set [ 10; 2; 33 ];
+    ]
+  in
+  let bindings =
+    List.concat_map
+      (fun value -> List.map (fun comps -> { Exec.value; comps }) comps)
+      values
+  in
+  Alcotest.(check string) "no rows" (oracle_rows schema [])
+    (Service.render_rows schema []);
+  List.iter
+    (fun bd ->
+      Alcotest.(check string) "one row" (oracle_rows schema [ bd ])
+        (Service.render_rows schema [ bd ]))
+    bindings;
+  Alcotest.(check string) "all rows, canonical order"
+    (oracle_rows schema bindings)
+    (Service.render_rows schema (List.rev bindings))
+
+let prop_render_rows =
+  let b = Ps.base () in
+  let classes = [| b.Ps.vehicle; b.Ps.truck; b.Ps.company; b.Ps.employee |] in
+  let value =
+    QCheck.Gen.(
+      oneof
+        [
+          return Value.Null;
+          map (fun i -> Value.Int i) int;
+          map (fun s -> Value.Str s) (string_size ~gen:char (0 -- 12));
+          map (fun o -> Value.Ref o) nat;
+          map (fun l -> Value.Ref_set l) (list_size (0 -- 4) nat);
+        ])
+  in
+  let comp = QCheck.Gen.(pair (map (Array.get classes) (0 -- 3)) (0 -- 2000)) in
+  let binding =
+    QCheck.Gen.(
+      map2 (fun value comps -> { Exec.value; comps }) value
+        (list_size (1 -- 3) comp))
+  in
+  QCheck.Test.make ~count:200 ~name:"rows = oracle on random bindings"
+    (QCheck.make QCheck.Gen.(list_size (0 -- 20) binding))
+    (fun bindings ->
+      Service.render_rows b.Ps.schema bindings = oracle_rows b.Ps.schema bindings)
+
+(* the reply document spliced around the rendered rows prints exactly
+   the bytes the server sends *)
+let test_handle_matches_serve_line () =
+  let e = Dg.exp1 ~n_vehicles:300 ~seed:3 () in
+  let db = Db.create e.store in
+  Db.attach_index db e.ch_color;
+  Db.attach_index db e.path_age;
+  let svc = Service.create ~schema:e.ext.b.schema db in
+  List.iter
+    (fun line ->
+      let served = Service.serve_line svc line in
+      Alcotest.(check string) line served
+        (Json.to_string (Service.handle_line svc line));
+      Alcotest.(check string) (line ^ " reparsed") served
+        (Json.to_string (Json.of_string served)))
+    [
+      "query (Red, Vehicle*)";
+      "query (*, Vehicle*)";
+      "query-forward ([20-40], Employee*, Company*, Vehicle*)";
+      "query (Teal, Bus)";
+    ];
+  let count line =
+    Option.bind
+      (Json.member "count" (Json.of_string (Service.serve_line svc line)))
+      Json.to_int
+  in
+  Alcotest.(check bool) "a many-row reply is covered" true
+    (Option.value ~default:0 (count "query (*, Vehicle*)") > 100)
+
 let () =
   Alcotest.run "server"
     [
@@ -741,5 +875,13 @@ let () =
             test_monotone_counters_under_commits;
           Alcotest.test_case "page-read reconciliation" `Quick
             test_page_read_reconciliation;
+        ] );
+      ( "render",
+        [
+          Alcotest.test_case "rows = old renderer" `Quick
+            test_render_rows_oracle;
+          QCheck_alcotest.to_alcotest prop_render_rows;
+          Alcotest.test_case "handle = serve_line bytes" `Quick
+            test_handle_matches_serve_line;
         ] );
     ]

@@ -462,6 +462,188 @@ let test_unanimous_error_passthrough () =
   Alcotest.(check bool) "is unroutable, not shard_failure" true
     (Protocol.response_error_kind via = Some "unroutable")
 
+(* --- streaming merge against scripted shards --------------------------- *)
+
+module Server = Uindex_server.Server
+module Metrics = Obs.Metrics
+
+(* One remote shard server per slot, each answering every request line
+   with whatever its slot currently holds — shard replies scripted byte
+   for byte. *)
+let with_scripted_shards n f =
+  let dir = Filename.temp_file "uindex_shard" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let slots = Array.init n (fun _ -> Atomic.make "") in
+  let servers =
+    Array.mapi
+      (fun i slot ->
+        let path = Filename.concat dir (Printf.sprintf "s%d.sock" i) in
+        let handler =
+          {
+            Server.serve = (fun ~queued_ns:_ ~deadline:_ _ -> Atomic.get slot);
+            on_stop = ignore;
+          }
+        in
+        ( Server.start_handler handler
+            { (Server.default_config (Server.Unix_sock path)) with workers = 1 },
+          path ))
+      slots
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun (srv, path) ->
+          Server.stop srv;
+          try Sys.remove path with Sys_error _ -> ())
+        servers;
+      try Unix.rmdir dir with Unix.Unix_error _ -> ())
+    (fun () -> f slots (Array.map (fun (_, path) -> Router.Remote path) servers))
+
+let rows_reply ?trace_id rows ~page_reads ~pool_hits ~entries_scanned =
+  Json.to_string
+    (Protocol.ok
+       ([
+          ("type", Json.Str "rows");
+          ("count", Json.Int (List.length rows));
+          ("rows", Json.List rows);
+          ("page_reads", Json.Int page_reads);
+          ("pool_hits", Json.Int pool_hits);
+          ("entries_scanned", Json.Int entries_scanned);
+        ]
+       @ match trace_id with Some id -> [ ("trace_id", Json.Str id) ] | None -> []))
+
+let jint_exn name doc =
+  match Json.to_int (member_exn name doc) with
+  | Some i -> i
+  | None -> Alcotest.failf "%S is not an int" name
+
+(* Two shards whose rows alternate in byte order plus one with none must
+   merge to exactly the unsharded reply, cost fields summed. *)
+let test_streaming_merge () =
+  let f = make_fleet ~n_vehicles:300 () in
+  let schema = f.ext.Ps.b.Ps.schema in
+  let text =
+    Qparse.to_syntax schema
+      (Query.class_hierarchy ~value:Query.V_any
+         (Query.P_subtree f.ext.Ps.b.Ps.vehicle))
+  in
+  with_scripted_shards (Smap.count f.map) @@ fun slots backends ->
+  let router =
+    Router.create ~schema ~enc:f.ext.Ps.b.Ps.enc ~map:f.map ~backends ()
+  in
+  List.iter
+    (fun (prefix, trace_id) ->
+      let line = prefix ^ "query " ^ text in
+      let expected = Service.serve_line f.unsharded line in
+      let d = Json.of_string expected in
+      let rows = Option.get (Json.to_list (member_exn "rows" d)) in
+      Alcotest.(check bool) "enough rows to interleave" true
+        (List.length rows > 10);
+      let even = List.filteri (fun i _ -> i mod 2 = 0) rows
+      and odd = List.filteri (fun i _ -> i mod 2 = 1) rows in
+      let cost name = jint_exn name d in
+      let half name = cost name / 2 in
+      Atomic.set slots.(0)
+        (rows_reply ?trace_id even ~page_reads:(half "page_reads")
+           ~pool_hits:(half "pool_hits")
+           ~entries_scanned:(half "entries_scanned"));
+      Atomic.set slots.(1)
+        (rows_reply ?trace_id odd
+           ~page_reads:(cost "page_reads" - half "page_reads")
+           ~pool_hits:(cost "pool_hits" - half "pool_hits")
+           ~entries_scanned:(cost "entries_scanned" - half "entries_scanned"));
+      for i = 2 to Array.length slots - 1 do
+        Atomic.set slots.(i)
+          (rows_reply ?trace_id [] ~page_reads:0 ~pool_hits:0 ~entries_scanned:0)
+      done;
+      Alcotest.(check int) "fans out to every shard" (Array.length slots)
+        (List.length (Router.route_query router (Qparse.parse schema text)));
+      Alcotest.(check string) ("merged bytes, " ^ line) expected
+        (Router.serve_line router line))
+    [ ("", None); ("@beef ", Some "beef") ]
+
+(* A reply whose rows array does not scan is a lost shard: the typed
+   [shard_failure], never a half-merged answer.  Over [Remote] backends
+   the retrying client rejects a reply that is not a JSON document before
+   the merge sees it; either way the answer must be the typed failure. *)
+let test_malformed_rows_slice () =
+  let f = make_fleet ~n_vehicles:200 () in
+  let schema = f.ext.Ps.b.Ps.schema in
+  let line =
+    "query "
+    ^ Qparse.to_syntax schema
+        (Query.class_hierarchy ~value:Query.V_any
+           (Query.P_subtree f.ext.Ps.b.Ps.vehicle))
+  in
+  with_scripted_shards (Smap.count f.map) @@ fun slots backends ->
+  let router =
+    Router.create ~schema ~enc:f.ext.Ps.b.Ps.enc ~map:f.map ~backends ()
+  in
+  let good =
+    rows_reply
+      [ Json.of_string {|{"value":"Red","comps":[["Bus",1]]}|} ]
+      ~page_reads:1 ~pool_hits:0 ~entries_scanned:1
+  in
+  Array.iter (fun slot -> Atomic.set slot good) slots;
+  Alcotest.(check bool) "well-formed replies merge" true
+    (Protocol.response_is_ok (Json.of_string (Router.serve_line router line)));
+  let reply rows =
+    {|{"ok":true,"type":"rows","count":1,"rows":|} ^ rows
+    ^ {|,"page_reads":1,"pool_hits":0,"entries_scanned":1}|}
+  in
+  List.iter
+    (fun bad ->
+      Atomic.set slots.(1) bad;
+      let d = Json.of_string (Router.serve_line router line) in
+      Alcotest.(check (option string)) ("typed failure for " ^ bad)
+        (Some "shard_failure")
+        (Protocol.response_error_kind d))
+    [
+      reply {|[{"value":"Red","comps":[["Bus",1]]}|};
+      reply {|[{"value":"Red],"comps":[["Bus",1]]}]|};
+      reply {|[{"value":"Red","comps":[["Bus",1]}]|};
+      reply {|[{"value":[1}]]|};
+      reply {|[{"value":"Red"} {"value":"Blue"}]|};
+      reply {|[{"value":"Red"},]|};
+      {|{"ok":true,"type":"rows","count":1,"rows":[{"value":"Red"|};
+      {|{"ok":true,"type":"rows","count":0,"rows":[],"page_reads":1,}|};
+    ]
+
+(* The single-shard bypass forwards the shard's bytes without parsing
+   them, yet an error reply still counts as a request error. *)
+let test_bypass_counts_errors () =
+  let f = make_fleet ~n_vehicles:200 () in
+  let schema = f.ext.Ps.b.Ps.schema in
+  with_scripted_shards (Smap.count f.map) @@ fun slots backends ->
+  let router =
+    Router.create ~schema ~enc:f.ext.Ps.b.Ps.enc ~map:f.map ~backends ()
+  in
+  let cs = Ps.vehicle_leaf_classes f.ext in
+  let rec pick k =
+    if k >= Array.length cs then Alcotest.fail "no single-shard class"
+    else
+      let q = Query.class_hierarchy ~value:Query.V_any (Query.P_class cs.(k)) in
+      match Router.route_query router q with [ _ ] -> q | _ -> pick (k + 1)
+  in
+  let line = "query " ^ Qparse.to_syntax schema (pick 0) in
+  let errors () =
+    Option.value ~default:0
+      (Metrics.find Metrics.default "server.request_errors")
+  in
+  let error_reply =
+    Json.to_string (Protocol.error ~detail:"scripted" Protocol.Internal)
+  in
+  let ok_reply = rows_reply [] ~page_reads:0 ~pool_hits:0 ~entries_scanned:0 in
+  List.iter
+    (fun (payload, counted) ->
+      Array.iter (fun slot -> Atomic.set slot payload) slots;
+      let before = errors () in
+      Alcotest.(check string) "bytes forwarded untouched" payload
+        (Router.serve_line router line);
+      Alcotest.(check int) ("request_errors for " ^ payload) counted
+        (errors () - before))
+    [ (error_reply, 1); (ok_reply, 0) ]
+
 let () =
   Alcotest.run "shard"
     [
@@ -486,5 +668,11 @@ let () =
           Alcotest.test_case "partial failure" `Quick test_partial_failure;
           Alcotest.test_case "unanimous error" `Quick
             test_unanimous_error_passthrough;
+          Alcotest.test_case "streaming merge = unsharded" `Quick
+            test_streaming_merge;
+          Alcotest.test_case "malformed rows slice" `Quick
+            test_malformed_rows_slice;
+          Alcotest.test_case "bypass counts errors" `Quick
+            test_bypass_counts_errors;
         ] );
     ]
