@@ -308,16 +308,16 @@ let check_telemetry path j ~serve_digest =
   (p50_on /. p50_off -. 1.) *. 100.
 
 (* The descent_fastpath section gates the compare-in-place descent
-   (DESIGN.md §13).  Correctness: the "fast" and "reference" rows must
-   carry the same reply digest — and the same digest as
-   serve_throughput's rows, since all drive the identical query mix.  A
-   fast path that changes a single reply byte is a search bug.  Cost:
-   the fast p50 must stay within 10% of the reference p50 (best-of-3
-   rows damp scheduler noise; on quiet hardware it is strictly faster),
-   and the fast per-request minor-allocation median must be strictly
-   below the reference one — allocation is what the fast path exists to
-   remove, and the comparison is scheduling-independent. *)
-let check_descent_fastpath path j ~serve_digest =
+   (DESIGN.md §13) against the decoding reference in Btree_oracle, over
+   one Btree-level probe stream.  Correctness: the "fast" and
+   "reference" rows must carry the same answer digest — a fast path that
+   changes a single byte is a search bug.  Cost: the fast p50 must stay
+   within 10% of the reference p50 (best-of-3 rows damp scheduler noise;
+   on quiet hardware it is strictly faster), and the fast per-request
+   minor-allocation median must be strictly below the reference one —
+   allocation is what the in-place search exists to remove, and the
+   comparison is scheduling-independent. *)
+let check_descent_fastpath path j =
   let rows =
     match get path "descent_fastpath" j with
     | Obs.Json.List (_ :: _ as rows) -> rows
@@ -353,13 +353,6 @@ let check_descent_fastpath path j ~serve_digest =
       "descent_fastpath: fast descent changed reply bytes (digest %s fast, \
        %s reference) — compare-in-place search disagrees with decode"
       d_fast d_ref;
-  (match serve_digest with
-  | Some d when d <> d_ref ->
-      fail
-        "descent_fastpath: digest %s differs from serve_throughput's %s — \
-         the sections no longer run the same query mix"
-        d_ref d
-  | _ -> ());
   let p50_ref = num "p50_us" reference and p50_fast = num "p50_us" fast in
   if p50_fast > 1.10 *. p50_ref then
     fail
@@ -613,7 +606,7 @@ let () =
   let n_sv, serve_digest = check_serve_throughput results_path r in
   let n_mx = check_serve_mixed results_path r in
   let tel_pct = check_telemetry results_path r ~serve_digest in
-  let al_fast, al_ref = check_descent_fastpath results_path r ~serve_digest in
+  let al_fast, al_ref = check_descent_fastpath results_path r in
   let cr_rate, cr_faults, cr_retries =
     check_chaos_resilience results_path r ~serve_digest
   in

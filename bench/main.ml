@@ -1416,16 +1416,17 @@ let run_telemetry_overhead (e : Dg.exp1) =
 
 (* --- descent fast path A/B --------------------------------------------------- *)
 
-(* The compare-in-place descent (DESIGN.md §13) against the reference
-   decode-every-node path, over the same served query mix as the
-   telemetry rows.  Three things are gated by check_results: both
-   digests must equal serve_throughput's (byte-identical answers), the
-   fast p50 must be no worse than the reference p50 (within scheduler
-   tolerance), and the fast per-request minor-allocation median must be
-   strictly below the reference one — the whole point of the change.
-   The allocation medians are scheduling-independent, so this section
-   stays meaningful under UINDEX_BENCH_SKIP_TIMING.  Must run before
-   serve_mixed mutates the store. *)
+(* The compare-in-place descent (DESIGN.md §13) against the decoding
+   reference in Btree_oracle, over one Btree-level probe stream on the
+   exp1 ch_color tree: each request is an exact find of a present key,
+   a find of an absent one and a seek followed by eight nexts.  Three
+   things are gated by check_results: both digests must be equal
+   (byte-identical answers), the fast p50 must be no worse than the
+   reference p50 (within scheduler tolerance), and the fast per-request
+   minor-allocation median must be strictly below the reference one —
+   the whole point of the in-place search.  The allocation medians are
+   scheduling-independent, so this section stays meaningful under
+   UINDEX_BENCH_SKIP_TIMING. *)
 type descent_row = {
   ds_mode : string; (* "reference" | "fast" *)
   ds_queries : int;
@@ -1435,63 +1436,86 @@ type descent_row = {
   ds_digest : string;
 }
 
+type probe_impl = {
+  pi_find : string -> string option;
+  pi_seek : string -> Btree.entry option;
+  pi_next : unit -> Btree.entry option;
+}
+
 let run_descent_fastpath (e : Dg.exp1) =
   section "Descent fast path: compare-in-place vs reference decode, fixed digest";
-  let module Db = Uindex.Db in
-  let module Service = Uindex_server.Service in
-  let db = Db.create e.store in
-  Db.attach_index db e.ch_color;
-  Db.attach_index db e.path_age;
-  let telemetry =
-    {
-      Service.tracing = false;
-      sample_every = 1;
-      slow_threshold_ns = max_int;
-      slow_capacity = 0;
-    }
+  let tree = Index.tree e.ch_color in
+  let read = Btree.raw_read tree in
+  let keys =
+    let acc = ref [] in
+    Btree.iter tree (fun en -> acc := en.Btree.key :: !acc);
+    Array.of_list (List.rev !acc)
   in
-  let mix =
-    [|
-      "query (Red, Bus*)";
-      "query (White, Vehicle*)";
-      "query-forward (Red, Bus*)";
-      "query ([50-60], Employee*, Company*, Vehicle*)";
-    |]
-  in
+  let n_keys = Array.length keys in
+  if n_keys = 0 then failwith "descent_fastpath: empty ch_color tree";
   let total = if quick then 240 else 480 in
-  let one_run svc =
-    let n_mix = Array.length mix in
+  (* request [i] probes a key spread over the whole tree *)
+  let key_of i = keys.(i * 7919 mod n_keys) in
+  let one_request impl i out =
+    let k = key_of i in
+    let note = function
+      | Some (en : Btree.entry) ->
+          Buffer.add_string out en.key;
+          Buffer.add_string out (en.value ())
+      | None -> Buffer.add_char out '-'
+    in
+    let found = function Some v -> Buffer.add_string out v | None -> () in
+    found (impl.pi_find k);
+    found (impl.pi_find (k ^ "\000"));
+    note (impl.pi_seek k);
+    for _ = 1 to 8 do
+      note (impl.pi_next ())
+    done
+  in
+  let one_run make_impl =
     let lat = Array.make total 0. in
     let alloc = Array.make total 0 in
-    let cycle = Array.make n_mix "" in
+    let out = Buffer.create 65536 in
     for i = 0 to total - 1 do
-      let line = mix.(i mod n_mix) in
       let q0 = Unix.gettimeofday () in
       let w0 = Gc.minor_words () in
-      let raw = Service.serve_line svc line in
+      one_request (make_impl ()) i out;
       alloc.(i) <- int_of_float (Gc.minor_words () -. w0);
-      lat.(i) <- Unix.gettimeofday () -. q0;
-      let j = i mod n_mix in
-      if i < n_mix then cycle.(j) <- raw
-      else if raw <> cycle.(j) then
-        failwith "descent_fastpath: reply drifted between cycles"
+      lat.(i) <- Unix.gettimeofday () -. q0
     done;
     Array.sort compare lat;
     Array.sort compare alloc;
     let pct p = 1e6 *. lat.(min (total - 1) (p * total / 100)) in
-    ( pct 50,
-      pct 99,
-      alloc.(total / 2),
-      Digest.string (String.concat "\n" (Array.to_list cycle)) )
+    (pct 50, pct 99, alloc.(total / 2), Digest.string (Buffer.contents out))
   in
-  let row mode fast =
-    Btree.set_fast_descent fast;
-    let svc = Service.create ~telemetry ~schema:e.ext.b.schema db in
-    (* one untimed warm cycle: first-touch costs, and the per-domain
-       scanner slot, settle before measurement *)
-    Array.iter (fun l -> ignore (Service.serve_line svc l)) mix;
+  (* the production scanner is reset per request, as Exec's per-domain
+     cursor is per query; the oracle gets a fresh scanner and memo *)
+  let fast () =
+    let sc = Btree.Scanner.create tree ~read in
+    fun () ->
+      Btree.Scanner.reset sc tree ~read;
+      {
+        pi_find = Btree.find tree;
+        pi_seek = Btree.Scanner.seek sc;
+        pi_next = (fun () -> Btree.Scanner.next sc);
+      }
+  in
+  let reference () =
+    let o = Btree_oracle.create tree ~read in
+    fun () ->
+      let sc = Btree_oracle.Scanner.create o in
+      {
+        pi_find = Btree_oracle.find o;
+        pi_seek = Btree_oracle.Scanner.seek sc;
+        pi_next = (fun () -> Btree_oracle.Scanner.next sc);
+      }
+  in
+  let row mode make =
+    let make_impl = make () in
+    (* one untimed warm run: first-touch costs settle before measurement *)
+    ignore (one_run make_impl);
     let p50, p99, alloc_p50, digest =
-      List.init 3 (fun _ -> one_run svc)
+      List.init 3 (fun _ -> one_run make_impl)
       |> List.fold_left
            (fun acc ((p50, _, _, _) as r) ->
              match acc with
@@ -1509,16 +1533,12 @@ let run_descent_fastpath (e : Dg.exp1) =
       ds_digest = digest;
     }
   in
-  let rows =
-    Fun.protect
-      ~finally:(fun () -> Btree.set_fast_descent true)
-      (fun () -> [ row "reference" false; row "fast" true ])
-  in
+  let rows = [ row "reference" reference; row "fast" fast ] in
   List.iter
     (fun r ->
       Printf.printf
         "descent %-9s: p50 %8.1f us  p99 %8.1f us  alloc p50 %7d words  (%d \
-         queries, digest %s)\n"
+         requests, digest %s)\n"
         r.ds_mode r.ds_p50_us r.ds_p99_us r.ds_alloc_p50_words r.ds_queries
         (Digest.to_hex r.ds_digest))
     rows;
@@ -2096,8 +2116,6 @@ let () =
   (* telemetry must run before serve_mixed mutates e1's store: its digest
      is gated against serve_throughput's *)
   let telemetry = run_telemetry_overhead e1 in
-  (* same store-unmutated constraint: both descent digests are gated
-     against serve_throughput's *)
   let descent = run_descent_fastpath e1 in
   (* chaos replays the same mix, so the store must still be unmutated:
      its digests are gated against serve_throughput's *)

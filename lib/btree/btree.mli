@@ -106,18 +106,6 @@ val raw_read : t -> int -> Bytes.t
 val cached_read : t -> Storage.Pager.Cache.t
 (** A fresh per-query cache over this tree's page source. *)
 
-val set_fast_descent : bool -> unit
-(** Process-wide read-path selector (default [on]).  When on, lookups
-    and scans search the encoded page in place ({!Node.leaf_search} /
-    {!Node.child_in_place}) and never materialize keys they skip; when
-    off, every touched node is decoded ({!Node.decode}), the reference
-    implementation.  Both paths issue identical page reads and return
-    byte-identical results (proven by the differential suite); only
-    allocation and CPU differ.  Scanners sample the flag at
-    create/reset time, so in-flight scans are unaffected. *)
-
-val fast_descent : unit -> bool
-
 (** {1 Updates} *)
 
 val insert : t -> key:string -> value:string -> unit
@@ -153,9 +141,15 @@ val bulk_load : ?fill:float -> t -> (string * string) Seq.t -> unit
 (** {1 Point and range access} *)
 
 val find : t -> ?read:(int -> Bytes.t) -> string -> string option
-(** Exact lookup; resolves overflow values (counting their page reads). *)
+(** Exact lookup; resolves overflow values (counting their page reads).
+    The descent searches each encoded page in place ({!Node.child_in_place},
+    {!Node.leaf_search}) and decodes only the value it returns.  A page
+    that does not parse, or a damaged overflow chain, raises
+    {!Storage.Storage_error.Corruption} naming the page. *)
 
 val mem : t -> ?read:(int -> Bytes.t) -> string -> bool
+(** Like {!find} without resolving the value; allocates nothing when the
+    pages are resident in an attached pool. *)
 
 type entry = { key : string; value : unit -> string }
 (** A scan result.  [value ()] resolves the payload lazily, reading
@@ -228,10 +222,10 @@ module Scanner : sig
   (** Advance to the following entry. *)
 
   val memo_size : t -> int
-  (** Decoded nodes currently memoized (reference path; the fast path
-      memoizes nothing).  Bounded by the number of internal nodes the
-      scan's descents touch — O(height) for a plain iteration — never by
-      the leaf count. *)
+  (** Raw internal pages currently memoized, so that a re-seek reads only
+      its leaf.  Leaves are never memoized: the count is bounded by the
+      number of internal nodes the scan's descents touch — O(height) for
+      a plain iteration — never by the leaf count. *)
 end
 
 (** {1 Introspection (tests, experiments)} *)

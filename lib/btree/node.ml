@@ -155,7 +155,7 @@ let decode b =
 
 (* --- compare-in-place search -------------------------------------------- *)
 
-(* The fast read path searches the encoded page directly instead of
+(* The read path searches the encoded page directly instead of
    decoding it.  Front coding makes this possible without materializing
    any key: walking the entries in order while maintaining [ml] — the
    length of the common prefix of the probe key and the last entry

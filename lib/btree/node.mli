@@ -66,12 +66,12 @@ val inline_size : value -> int
 
 (** {1 Compare-in-place search}
 
-    The fast read path operates on the encoded page without decoding it:
-    searches walk the front-coded entries in the page buffer, deciding
-    each comparison from the stored [(prefix_len, suffix)] pair alone, so
-    a descent materializes no key and allocates nothing.  {!decode}
-    remains the reference implementation; the two are proven equivalent
-    by a differential property test.  On malformed pages these raise
+    The B-tree's read path operates on the encoded page without decoding
+    it: searches walk the front-coded entries in the page buffer,
+    deciding each comparison from the stored [(prefix_len, suffix)] pair
+    alone, so a descent materializes no key and allocates nothing.
+    {!decode} is the reference the searches are proven equivalent to by
+    a differential property test.  On malformed pages these raise
     [Invalid_argument] exactly as {!decode} does. *)
 
 val is_leaf_page : Bytes.t -> bool

@@ -357,6 +357,95 @@ let test_attach_corrupt_root () =
       Pager.close p)
 
 (* ------------------------------------------------------------------ *)
+(* Damage behind the checksums: pages rewritten through [Pager.write],
+   so only the B-tree's own parsing can notice                          *)
+(* ------------------------------------------------------------------ *)
+
+(* One 1000-byte value on a 256-byte memory pager: four overflow chunks
+   of up to 250 bytes.  Returns the tree and the chain's page ids. *)
+let overflow_tree () =
+  let page_size = 256 in
+  let p = Pager.create ~page_size () in
+  let t = Btree.create p in
+  Btree.insert t ~key:"big" ~value:(String.make 1000 'v');
+  let head =
+    match Btree.Node.decode (Pager.read p (Btree.root t)) with
+    | Btree.Node.Leaf { lvals = [| Btree.Node.Overflow { head; _ } |]; _ } ->
+        head
+    | _ -> Alcotest.fail "expected one overflow value in the root leaf"
+  in
+  let rec chain id =
+    if id = 0xFFFFFFFF then [] else id :: chain (Bu.get_u32 (Pager.read p id) 0)
+  in
+  (t, chain head)
+
+(* rewrite a chunk's header fields, keeping its bytes *)
+let patch_chunk t id ?next ?len () =
+  let p = Btree.pager t in
+  let b = Bytes.copy (Pager.read p id) in
+  Option.iter (Bu.put_u32 b 0) next;
+  Option.iter (Bu.put_u16 b 4) len;
+  Pager.write p id b
+
+(* Regressions, one damaged chunk header each.  Before chunk headers
+   were checked, an oversized chunk length escaped as a bare
+   [Invalid_argument] from [Buffer.add_subbytes], a chunk looping back
+   to itself made [find] run until memory ran out, a chain cut short
+   returned a truncated value and a dangling next pointer escaped as the
+   pager's [Invalid_argument].  Now [find] and a scanner's
+   [entry.value ()] both report the chunk at fault. *)
+let test_overflow_chain_damage () =
+  List.iter
+    (fun (what, nth, damage) ->
+      let t, chain = overflow_tree () in
+      let victim = List.nth chain nth in
+      let next, len = damage victim in
+      patch_chunk t victim ?next ?len ();
+      expect_corruption ~component:"btree.overflow" ~page:victim
+        (what ^ ": find") (fun () -> Btree.find t "big");
+      let sc = Btree.Scanner.create t ~read:(Btree.raw_read t) in
+      match Btree.Scanner.seek sc "big" with
+      | None -> Alcotest.failf "%s: scanner lost the entry" what
+      | Some e ->
+          expect_corruption ~component:"btree.overflow" ~page:victim
+            (what ^ ": entry.value") e.Btree.value)
+    [
+      ("oversized chunk", 1, fun _ -> (None, Some 0xFFF0));
+      ("looping chain", 0, fun self -> (Some self, None));
+      ("short chain", 1, fun _ -> (Some 0xFFFFFFFF, None));
+      ("dangling next pointer", 2, fun _ -> (Some 9999, None));
+    ]
+
+(* A leaf whose kind byte still says "leaf" but whose entries are
+   garbage: every read path reports it as a damaged node, naming the
+   leaf, without re-reading it through a decoder. *)
+let test_damaged_leaf () =
+  let page_size = 256 in
+  let p = Pager.create ~page_size () in
+  let t = Btree.create p in
+  for i = 0 to 99 do
+    Btree.insert t ~key:(Printf.sprintf "k%03d" i) ~value:(string_of_int i)
+  done;
+  let leaf, probe =
+    match Btree.Node.decode (Pager.read p (Btree.root t)) with
+    | Btree.Node.Internal { children; _ } -> (
+        match Btree.Node.decode (Pager.read p children.(0)) with
+        | Btree.Node.Leaf { lkeys; _ } -> (children.(0), lkeys.(0))
+        | Btree.Node.Internal _ -> Alcotest.fail "tree deeper than expected")
+    | Btree.Node.Leaf _ -> Alcotest.fail "tree too small for the test"
+  in
+  let garbage = Bytes.make page_size '\xff' in
+  Bytes.set garbage 0 '\001';
+  Pager.write p leaf garbage;
+  expect_corruption ~component:"btree.node" ~page:leaf "damaged leaf: find"
+    (fun () -> Btree.find t probe);
+  expect_corruption ~component:"btree.node" ~page:leaf "damaged leaf: mem"
+    (fun () -> Btree.mem t probe);
+  let sc = Btree.Scanner.create t ~read:(Btree.raw_read t) in
+  expect_corruption ~component:"btree.node" ~page:leaf "damaged leaf: seek"
+    (fun () -> Btree.Scanner.seek sc probe)
+
+(* ------------------------------------------------------------------ *)
 (* The headline property: randomized corruption never yields a silent
    wrong answer, and salvage restores the oracle                        *)
 (* ------------------------------------------------------------------ *)
@@ -536,6 +625,10 @@ let unit_suite =
       test_pool_never_caches_corrupt_page;
     Alcotest.test_case "attach over corrupt root" `Quick
       test_attach_corrupt_root;
+    Alcotest.test_case "damaged overflow chains" `Quick
+      test_overflow_chain_damage;
+    Alcotest.test_case "damaged leaf behind checksums" `Quick
+      test_damaged_leaf;
     Alcotest.test_case "verify accepts a healthy index" `Quick
       test_verify_clean;
   ]
