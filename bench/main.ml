@@ -1419,7 +1419,9 @@ let run_telemetry_overhead (e : Dg.exp1) =
 (* The compare-in-place descent (DESIGN.md §13) against the decoding
    reference in Btree_oracle, over one Btree-level probe stream on the
    exp1 ch_color tree: each request is an exact find of a present key,
-   a find of an absent one and a seek followed by eight nexts.  Three
+   a find of an absent one, a seek followed by eight nexts, and a
+   forward skip-seek twelve keys past the probe (usually inside the
+   cursor's leaf) followed by two nexts.  Three
    things are gated by check_results: both digests must be equal
    (byte-identical answers), the fast p50 must be no worse than the
    reference p50 (within scheduler tolerance), and the fast per-request
@@ -1455,9 +1457,9 @@ let run_descent_fastpath (e : Dg.exp1) =
   if n_keys = 0 then failwith "descent_fastpath: empty ch_color tree";
   let total = if quick then 240 else 480 in
   (* request [i] probes a key spread over the whole tree *)
-  let key_of i = keys.(i * 7919 mod n_keys) in
+  let pos_of i = i * 7919 mod n_keys in
   let one_request impl i out =
-    let k = key_of i in
+    let k = keys.(pos_of i) in
     let note = function
       | Some (en : Btree.entry) ->
           Buffer.add_string out en.key;
@@ -1469,6 +1471,10 @@ let run_descent_fastpath (e : Dg.exp1) =
     found (impl.pi_find (k ^ "\000"));
     note (impl.pi_seek k);
     for _ = 1 to 8 do
+      note (impl.pi_next ())
+    done;
+    note (impl.pi_seek keys.(min (n_keys - 1) (pos_of i + 12)));
+    for _ = 1 to 2 do
       note (impl.pi_next ())
     done
   in

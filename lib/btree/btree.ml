@@ -4,7 +4,9 @@ module Pager = Storage.Pager
 
 (* Process-wide instruments (see Obs.Metrics).  [node_visits] counts the
    paper's "visited nodes" — every node touched during a descent or
-   pruned scan, whether or not the page read was absorbed by a cache. *)
+   pruned scan, whether or not the page read was absorbed by a cache.
+   A scanner seek that stays in the cursor's leaf is neither a descent
+   nor a visit. *)
 let m_descents =
   Obs.Metrics.counter ~subsystem:"btree" ~help:"root-to-leaf descents"
     "descents"
@@ -1007,7 +1009,9 @@ module Scanner = struct
      entries a scan skips past are never materialized, and values only
      on [entry.value ()].  Internal pages are memoized raw, so a re-seek
      re-reads only its leaf; leaves are never memoized (the leaf chain is
-     visited once per scan), so the memo stays O(height).  All mutable
+     visited once per scan), so the memo stays O(height).  A seek whose
+     target lies in the cursor's leaf stays there when a root-to-leaf
+     walk has read that leaf's internal pages (see [seek]).  All mutable
      state is recycled by [reset], so a session can reuse one scanner
      (and its memo table and scratch) across queries. *)
   type t = {
@@ -1023,6 +1027,9 @@ module Scanner = struct
     mutable keybuf : Bytes.t;  (* cursor key bytes live in [0, keylen) *)
     mutable keylen : int;
     mutable live : bool;  (* the cursor holds an entry *)
+    mutable walked : int;
+        (* the cursor's leaf and the [walked - 1] leaves after it hang
+           under the internal pages of the last root-to-leaf walk *)
   }
 
   let create tree ~read =
@@ -1039,6 +1046,7 @@ module Scanner = struct
       keybuf = Bytes.create 64;
       keylen = 0;
       live = false;
+      walked = 0;
     }
 
   (* Re-point a scanner at a (possibly different) tree, keeping its memo
@@ -1101,6 +1109,7 @@ module Scanner = struct
       t.pid <- id;
       t.page <- b;
       t.keylen <- 0;
+      if t.walked > 0 then t.walked <- t.walked - 1;
       match
         if not (Node.is_leaf_page b) then
           failwith "Btree: leaf chain hit internal node";
@@ -1120,29 +1129,33 @@ module Scanner = struct
     end
 
   (* Memoized pages were classified internal when added, so the kind
-     check is skipped on a hit. *)
-  let rec leaf_for t key id level =
+     check is skipped on a hit.  [right] counts the siblings to the right
+     of page [id] under its parent. *)
+  let rec leaf_for t key id level right =
     visit_node level;
     match Hashtbl.find_opt t.memo id with
-    | Some b -> (
-        match Node.child_in_place b key with
-        | c -> leaf_for t key c (level + 1)
-        | exception (Invalid_argument d | Failure d) -> corrupt id d)
+    | Some b -> child_for t key id b level
     | None -> (
         let b = t.read id in
         match Node.is_leaf_page b with
         | true ->
             t.pid <- id;
+            t.walked <- right + 1;
             b
-        | false -> (
+        | false ->
             Hashtbl.add t.memo id b;
-            match Node.child_in_place b key with
-            | c -> leaf_for t key c (level + 1)
-            | exception (Invalid_argument d | Failure d) -> corrupt id d)
+            child_for t key id b level
         | exception (Invalid_argument d | Failure d) -> corrupt id d)
 
+  and child_for t key id b level =
+    match Node.child_search b key with
+    | r ->
+        leaf_for t key (Node.child_page r) (level + 1)
+          (Node.entry_count b - Node.child_slot r)
+    | exception (Invalid_argument d | Failure d) -> corrupt id d
+
   let position t key =
-    let b = leaf_for t key t.tree.root 0 in
+    let b = leaf_for t key t.tree.root 0 0 in
     t.page <- b;
     t.keylen <- 0;
     try
@@ -1189,9 +1202,46 @@ module Scanner = struct
       | exception (Invalid_argument d | Failure d) -> corrupt pid d
     end
 
+  (* The in-leaf step: when the cursor key is below [key], the leaf
+     search resumes from the entry after the cursor, seeded with the
+     common prefix of the cursor key and [key].  [false] when the cursor
+     key is not below [key] or every later entry of the leaf is. *)
+  let seek_in_leaf t key =
+    let klen = String.length key in
+    let lim = if t.keylen < klen then t.keylen else klen in
+    let ml = Bu.match_len t.keybuf 0 key 0 lim in
+    let below =
+      if ml < lim then Bytes.unsafe_get t.keybuf ml < String.unsafe_get key ml
+      else t.keylen < klen
+    in
+    below
+    &&
+    match
+      Node.leaf_search_from t.page key
+        ~off:(Node.leaf_entry_end t.page t.off)
+        ~index:(t.idx + 1) ~matched:ml
+    with
+    | r when Node.search_index r < t.n ->
+        t.idx <- Node.search_index r;
+        t.off <- Node.search_off r;
+        set_cursor_from_probe t key;
+        true
+    | _ -> false
+    | exception (Invalid_argument d | Failure d) -> corrupt t.pid d
+
+  (* A root-to-leaf walk to a target in the cursor's leaf would end in
+     that leaf.  When the last walk's internal pages are also that leaf's
+     (it reached the leaf, or a sibling to its left under the same
+     parent), they are in the memo and the leaf has been read, so staying
+     in the leaf skips only re-reads.  A leaf entered along the chain
+     past its parent's last child is walked to once first: the walk
+     reads the new internal pages, as Algorithm 1's page accounting
+     expects. *)
   let seek t key =
-    Obs.Metrics.incr m_descents;
-    position t key;
+    if not (t.live && t.walked > 0 && seek_in_leaf t key) then begin
+      Obs.Metrics.incr m_descents;
+      position t key
+    end;
     peek t
 
   let next t =

@@ -216,7 +216,25 @@ module Scanner : sig
 
   val seek : t -> string -> entry option
   (** Position at the first entry with key [>=] the argument and return
-      it. *)
+      it.
+
+      Cost: when the cursor holds a key below the target and the target
+      is at most the last key of the cursor's leaf, the leaf search
+      resumes after the cursor — no node visit, no page read — provided
+      the internal pages above that leaf were read by the scanner's last
+      root-to-leaf walk (the walk reached this leaf, or a sibling to its
+      left under the same parent).  Every other seek is one
+      root-to-leaf walk: a target at or below the cursor key, past the
+      leaf's last entry, or in a leaf first entered along the chain past
+      its parent's last child.  Through a {!Storage.Pager.Cache} reader
+      (the parallel algorithm) both paths therefore read exactly the same
+      distinct pages; through a counting reader the in-leaf step saves
+      the leaf re-read.
+
+      The [btree.descents] counter counts root-to-leaf walks — each
+      {!find}, {!mem} and walking [seek] — and [btree.node_visits] the
+      nodes those walks and {!scan_intervals} visit; in-leaf steps add
+      to neither. *)
 
   val next : t -> entry option
   (** Advance to the following entry. *)

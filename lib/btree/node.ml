@@ -226,12 +226,12 @@ let search_off r = r lsr 21
 let search_index r = (r lsr 1) land 0xFFFFF
 let search_exact r = r land 1 = 1
 
-let leaf_search b key =
+let leaf_search_from b key ~off ~index ~matched =
   let n = Bu.get_u16 b 1 in
   let klen = String.length key in
-  let pos = ref header_size in
-  let idx = ref 0 in
-  let ml = ref 0 in
+  let pos = ref off in
+  let idx = ref index in
+  let ml = ref matched in
   let exact = ref false in
   let stop = ref false in
   while (not !stop) && !idx < n do
@@ -273,9 +273,17 @@ let leaf_search b key =
   done;
   (!pos lsl 21) lor (!idx lsl 1) lor (if !exact then 1 else 0)
 
+let leaf_search b key =
+  leaf_search_from b key ~off:header_size ~index:0 ~matched:0
+
 (* Upper bound over an internal page's separators: the search advances
-   past separators [<=] the probe, keeping the page id to their right. *)
-let child_in_place b key =
+   past separators [<=] the probe, keeping the page id to their right.
+   Packed result: bits 0-15 = the child's slot (0 = leftmost), the rest =
+   its page id. *)
+let child_page r = r lsr 16
+let child_slot r = r land 0xFFFF
+
+let child_search b key =
   let n = Bu.get_u16 b 1 in
   let klen = String.length key in
   let pos = ref header_size in
@@ -316,7 +324,9 @@ let child_in_place b key =
       else stop := true
     end
   done;
-  !child
+  (!child lsl 16) lor !idx
+
+let child_in_place b key = child_page (child_search b key)
 
 let pp_key ppf k =
   String.iter

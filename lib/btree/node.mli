@@ -91,6 +91,14 @@ val leaf_search : Bytes.t -> string -> int
     and {!search_off} (that entry's byte offset in the page; the
     end-of-entries offset when the index equals {!entry_count}). *)
 
+val leaf_search_from :
+  Bytes.t -> string -> off:int -> index:int -> matched:int -> int
+(** {!leaf_search} resumed part-way through the page: the search starts
+    at the entry with index [index] and byte offset [off], given that
+    every earlier entry is below the probe and [matched] is the length
+    of the common prefix of the probe and the entry just before [index].
+    Same packed result. *)
+
 val search_index : int -> int
 val search_exact : int -> bool
 val search_off : int -> int
@@ -98,6 +106,14 @@ val search_off : int -> int
 val child_in_place : Bytes.t -> string -> int
 (** The child page id a descent for the probe key must follow from an
     internal page: upper bound over the separators, compared in place. *)
+
+val child_search : Bytes.t -> string -> int
+(** {!child_in_place}, also giving the child's slot: a packed immediate
+    int, unpacked with {!child_page} (the page id) and {!child_slot}
+    (0 for the leftmost child, {!entry_count} for the rightmost). *)
+
+val child_page : int -> int
+val child_slot : int -> int
 
 val entry_prefix : Bytes.t -> int -> int
 (** Stored prefix length of the entry at a byte offset. *)

@@ -9,8 +9,10 @@
    a pager's statistics see exactly the pages the oracle fetches; the
    oracle also counts its own page reads, descents and node visits.  Its
    scanner memoizes decoded internal nodes and never leaves, mirroring
-   the production scanner's raw internal-page memo, so the two issue the
-   same page reads for the same seek/next stream. *)
+   the production scanner's raw internal-page memo, and answers a seek
+   that lands inside the cursor's leaf from that leaf, mirroring the
+   production in-leaf step, so the two issue the same page reads for the
+   same seek/next stream. *)
 
 module Node = Btree.Node
 module Bu = Storage.Bytes_util
@@ -57,7 +59,8 @@ let bound ~strict keys key =
   done;
   !lo
 
-(* Root to the leaf covering [key]; an equal separator sends the descent
+(* Root to the leaf covering [key], with the number of its siblings to
+   its right under its parent; an equal separator sends the descent
    right.  With [memo], decoded internal nodes are looked up and kept
    there. *)
 let leaf ?memo t key =
@@ -72,16 +75,18 @@ let leaf ?memo t key =
         | _ -> ());
         n
   in
-  let rec go id =
+  let rec go id right =
     t.node_visits <- t.node_visits + 1;
     match node id with
-    | Node.Leaf l -> l
-    | Node.Internal n -> go n.children.(bound ~strict:true n.ikeys key)
+    | Node.Leaf l -> (l, right)
+    | Node.Internal n ->
+        let i = bound ~strict:true n.ikeys key in
+        go n.children.(i) (Array.length n.ikeys - i)
   in
-  go (Btree.root t.tree)
+  go (Btree.root t.tree) 0
 
 let lookup t key =
-  let l = leaf t key in
+  let l, _ = leaf t key in
   let i = bound ~strict:false l.lkeys key in
   if i < Array.length l.lkeys && l.lkeys.(i) = key then Some l.lvals.(i)
   else None
@@ -97,9 +102,13 @@ module Scanner = struct
     memo : (int, Node.t) Hashtbl.t;  (* internal nodes only *)
     mutable leaf : Node.leaf option;
     mutable idx : int;
+    mutable walked : int;
+        (* [leaf] and the [walked - 1] leaves after it share the internal
+           nodes of the last walk from the root *)
   }
 
-  let create o = { o; memo = Hashtbl.create 32; leaf = None; idx = 0 }
+  let create o =
+    { o; memo = Hashtbl.create 32; leaf = None; idx = 0; walked = 0 }
 
   (* skip past the end of a leaf, and over empty leaves, along the chain *)
   let rec normalize s =
@@ -111,6 +120,7 @@ module Scanner = struct
           | Node.Leaf l' -> s.leaf <- Some l'
           | Node.Internal _ -> failwith "Btree_oracle: leaf chain hit internal node");
           s.idx <- 0;
+          s.walked <- max 0 (s.walked - 1);
           normalize s
         end
     | Some _ | None -> ()
@@ -122,11 +132,23 @@ module Scanner = struct
         Some { Btree.key = l.lkeys.(s.idx); value = (fun () -> value s.o v) }
     | Some _ | None -> None
 
+  (* A target above the cursor key and at most the last key of a leaf
+     under the internal nodes of the last walk is found inside that leaf:
+     no descent, no node visit, no read.  Any other target walks from
+     the root. *)
   let seek s key =
-    let l = leaf ~memo:s.memo s.o key in
-    s.leaf <- Some l;
-    s.idx <- bound ~strict:false l.lkeys key;
-    normalize s;
+    (match s.leaf with
+    | Some l
+      when s.walked > 0
+           && String.compare l.lkeys.(s.idx) key < 0
+           && String.compare key l.lkeys.(Array.length l.lkeys - 1) <= 0 ->
+        s.idx <- bound ~strict:false l.lkeys key
+    | Some _ | None ->
+        let l, right = leaf ~memo:s.memo s.o key in
+        s.leaf <- Some l;
+        s.idx <- bound ~strict:false l.lkeys key;
+        s.walked <- right + 1;
+        normalize s);
     peek s
 
   let next s =

@@ -426,14 +426,32 @@ let test_damaged_leaf () =
   for i = 0 to 99 do
     Btree.insert t ~key:(Printf.sprintf "k%03d" i) ~value:(string_of_int i)
   done;
-  let leaf, probe =
+  let leaf, lkeys =
     match Btree.Node.decode (Pager.read p (Btree.root t)) with
     | Btree.Node.Internal { children; _ } -> (
         match Btree.Node.decode (Pager.read p children.(0)) with
-        | Btree.Node.Leaf { lkeys; _ } -> (children.(0), lkeys.(0))
+        | Btree.Node.Leaf { lkeys; _ } -> (children.(0), lkeys)
         | Btree.Node.Internal _ -> Alcotest.fail "tree deeper than expected")
     | Btree.Node.Leaf _ -> Alcotest.fail "tree too small for the test"
   in
+  let probe = lkeys.(0) in
+  if Array.length lkeys < 4 then Alcotest.fail "leaf too small for the test";
+  (* first: only the tail is garbage.  A scanner positioned on an intact
+     entry that seeks forward into the damage reports the leaf too. *)
+  let tail = Bytes.copy (Pager.read p leaf) in
+  let intact =
+    Btree.Node.leaf_entry_end tail
+      (Btree.Node.leaf_entry_end tail Btree.Node.header_size)
+  in
+  Bytes.fill tail intact (page_size - intact) '\xff';
+  Pager.write p leaf tail;
+  let sc = Btree.Scanner.create t ~read:(Btree.raw_read t) in
+  (match Btree.Scanner.seek sc lkeys.(1) with
+  | Some e -> Alcotest.(check string) "intact entry" lkeys.(1) e.Btree.key
+  | None -> Alcotest.fail "intact entry not found");
+  expect_corruption ~component:"btree.node" ~page:leaf
+    "damaged leaf tail: forward seek" (fun () ->
+      Btree.Scanner.seek sc lkeys.(Array.length lkeys - 1));
   let garbage = Bytes.make page_size '\xff' in
   Bytes.set garbage 0 '\001';
   Pager.write p leaf garbage;

@@ -134,6 +134,22 @@ let prop_leaf_search_matches_decode =
             QCheck.Test.fail_reportf
               "probe %S over %d keys (fc=%b): got (%d,%b), want (%d,%b)" probe
               (Array.length keys) front_coding i exact want_i want_exact;
+          (* resumed at the answer, after the entry below it, the search
+             stops there again *)
+          (if i > 0 then
+             let prev = keys.(i - 1) in
+             let lim = min (String.length prev) (String.length probe) in
+             let ml = ref 0 in
+             while !ml < lim && prev.[!ml] = probe.[!ml] do
+               incr ml
+             done;
+             let r' =
+               Btree.Node.leaf_search_from b probe
+                 ~off:(Btree.Node.search_off r) ~index:i ~matched:!ml
+             in
+             if r' <> r then
+               QCheck.Test.fail_reportf "probe %S resumed at entry %d diverged"
+                 probe i);
           (* the packed offset must point at the entry's payload *)
           (if exact then
              let v =
@@ -167,6 +183,10 @@ let prop_child_matches_decode =
             QCheck.Test.fail_reportf
               "probe %S over %d separators (fc=%b): child %d, want %d" probe
               (Array.length keys) front_coding got want;
+          let slot = Btree.Node.child_slot (Btree.Node.child_search b probe) in
+          if children.(slot) <> want then
+            QCheck.Test.fail_reportf "probe %S: slot %d holds %d, want %d"
+              probe slot children.(slot) want;
           true)
         (probes_of keys))
 
@@ -236,9 +256,28 @@ let oracle_impl o =
     next = (fun () -> Btree_oracle.Scanner.next sc);
   }
 
-(* the probe stream: exact finds and mems, skip-seek bursts, then one full
-   forward sweep through the leaf chain *)
-let run_stream impl =
+(* The keys of every leaf, in leaf-chain order, read by decoding. *)
+let leaf_keys t =
+  let read = Btree.raw_read t in
+  let rec leftmost id =
+    match Btree.Node.decode (read id) with
+    | Btree.Node.Internal n -> leftmost n.children.(0)
+    | Btree.Node.Leaf l -> l
+  in
+  let rec chain (l : Btree.Node.leaf) acc =
+    let acc = l.lkeys :: acc in
+    if l.next < 0 then List.rev acc
+    else
+      match Btree.Node.decode (read l.next) with
+      | Btree.Node.Leaf l' -> chain l' acc
+      | Btree.Node.Internal _ -> failwith "leaf chain hit internal node"
+  in
+  chain (leftmost (Btree.root t)) []
+
+(* the probe stream: exact finds and mems, skip-seek bursts, forward
+   skip-seeks around the cursor's leaf ([leaves] from [leaf_keys]), then
+   one full forward sweep through the leaf chain *)
+let run_stream leaves impl =
   let finds = List.map impl.find tree_probes in
   let mems = List.map impl.mem tree_probes in
   let scanned = ref [] in
@@ -255,6 +294,30 @@ let run_stream impl =
         done
       end)
     tree_probes;
+  (* per leaf, from its first entry: the cursor key itself, ahead inside
+     the leaf, exactly its last key, the cursor key again (now the last),
+     behind the cursor, and one byte past the last key (into the next
+     leaf); then ahead inside the next leaf after entering it along the
+     chain *)
+  let leaves = Array.of_list leaves in
+  Array.iteri
+    (fun i keys ->
+      let m = Array.length keys in
+      if i mod 2 = 0 && m >= 2 && i + 1 < Array.length leaves then begin
+        let last = keys.(m - 1) in
+        note (impl.seek keys.(0));
+        note (impl.seek keys.(0));
+        note (impl.seek (keys.(0) ^ "\000"));
+        note (impl.seek last);
+        note (impl.seek last);
+        note (impl.seek keys.(0));
+        note (impl.seek (last ^ "\000"));
+        note (impl.next ());
+        note (impl.seek last);
+        note (impl.next ());
+        note (impl.seek (leaves.(i + 1).(0) ^ "\000"))
+      end)
+    leaves;
   note (impl.seek "");
   let continue = ref true in
   while !continue do
@@ -283,12 +346,13 @@ let measure t f =
 let test_differential () =
   List.iter
     (fun (name, (t, data)) ->
+      let leaves = leaf_keys t in
       let (b_finds, b_mems, b_scanned), b_reads, b_hits, _, _ =
-        measure t (fun () -> run_stream (btree_impl t))
+        measure t (fun () -> run_stream leaves (btree_impl t))
       in
       let o = Btree_oracle.create t ~read:(Btree.raw_read t) in
       let (o_finds, o_mems, o_scanned), o_reads, o_hits, _, _ =
-        measure t (fun () -> run_stream (oracle_impl o))
+        measure t (fun () -> run_stream leaves (oracle_impl o))
       in
       let msg s = name ^ ": " ^ s in
       let open Alcotest in
@@ -316,13 +380,29 @@ let test_differential () =
 let test_differential_metrics () =
   List.iter
     (fun (name, (t, _)) ->
+      let leaves = leaf_keys t in
+      let seeks = ref 0 in
+      let counting impl =
+        {
+          impl with
+          seek =
+            (fun k ->
+              incr seeks;
+              impl.seek k);
+        }
+      in
       let _, _, _, descents, visits =
-        measure t (fun () -> run_stream (btree_impl t))
+        measure t (fun () -> run_stream leaves (counting (btree_impl t)))
       in
       let o = Btree_oracle.create t ~read:(Btree.raw_read t) in
-      ignore (run_stream (oracle_impl o));
+      ignore (run_stream leaves (oracle_impl o));
       Alcotest.(check int) (name ^ ": descents") o.descents descents;
-      Alcotest.(check int) (name ^ ": node visits") o.node_visits visits)
+      Alcotest.(check int) (name ^ ": node visits") o.node_visits visits;
+      (* every find and mem descends; a seek descends unless it stays in
+         the cursor's leaf, and the stream has such seeks *)
+      let lookups = 2 * List.length tree_probes in
+      if descents - lookups >= !seeks then
+        Alcotest.failf "%s: %d seeks all descended" name !seeks)
     (scenarios ())
 
 (* --- allocation: warm-pool point lookups -------------------------------- *)
@@ -346,6 +426,55 @@ let test_warm_lookup_alloc () =
   let per = (Gc.minor_words () -. w0) /. float_of_int lookups in
   if per > 8. then
     Alcotest.failf "warm point lookup allocates %.1f minor words (want ~0)" per
+
+(* A warm seek that stays in the cursor's leaf builds only the returned
+   entry, as [Scanner.next] does: each pair below lands on the same
+   entry, by an in-leaf seek or by one [next]. *)
+let test_in_leaf_seek_alloc () =
+  let page_size = 1024 in
+  let pager = Storage.Pager.create ~page_size () in
+  let pool = Storage.Buffer_pool.create ~capacity:512 pager in
+  let config = { (Btree.default_config ~page_size) with max_entries = Some 16 } in
+  let t = Btree.create ~config ~pool pager in
+  for i = 0 to 1999 do
+    Btree.insert t ~key:(Printf.sprintf "warm/key%06d" (i * 3)) ~value:"v"
+  done;
+  let pairs =
+    List.concat_map
+      (fun keys ->
+        List.init (Array.length keys - 1) (fun i -> (keys.(i), keys.(i + 1))))
+      (leaf_keys t)
+    |> Array.of_list
+  in
+  let sc = Btree.Scanner.create t ~read:(Btree.raw_read t) in
+  let by_seek () =
+    Array.iter
+      (fun (a, b) ->
+        ignore (Btree.Scanner.seek sc a);
+        ignore (Btree.Scanner.seek sc b))
+      pairs
+  and by_next () =
+    Array.iter
+      (fun (a, _) ->
+        ignore (Btree.Scanner.seek sc a);
+        ignore (Btree.Scanner.next sc))
+      pairs
+  in
+  let words f =
+    f ();
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let d0 = metric "btree.descents" in
+  let seek_words = words by_seek in
+  Alcotest.(check int)
+    "only the first seek of each pair descends" (2 * Array.length pairs)
+    (metric "btree.descents" - d0);
+  let next_words = words by_next in
+  if seek_words > next_words then
+    Alcotest.failf "in-leaf seeks allocate %.0f words, nexts %.0f" seek_words
+      next_words
 
 (* --- scanner: memo bound and reuse --------------------------------------- *)
 
@@ -464,7 +593,11 @@ let () =
           Alcotest.test_case "descent metrics" `Quick test_differential_metrics;
         ] );
       ( "allocation",
-        [ Alcotest.test_case "warm point lookup" `Quick test_warm_lookup_alloc ] );
+        [
+          Alcotest.test_case "warm point lookup" `Quick test_warm_lookup_alloc;
+          Alcotest.test_case "in-leaf seek = next" `Quick
+            test_in_leaf_seek_alloc;
+        ] );
       ( "scanner",
         [
           Alcotest.test_case "memo stays O(height)" `Quick test_memo_bounded;

@@ -228,6 +228,118 @@ let test_buffer_pool_reuse () =
   Alcotest.(check int) "second run all hits" miss0
     (Storage.Buffer_pool.misses pool)
 
+(* A tree with few entries per key value: a value range over a subtree
+   skips past the other classes' entries at every value, mostly within
+   one leaf. *)
+let sparse =
+  lazy
+    (Dg.exp2
+       {
+         (Dg.default_exp2 ~n_classes:12 ~distinct_keys:500) with
+         n_objects = 5_000;
+         page_size = 512;
+         seed = 8;
+       })
+
+(* The page reads of Algorithm 1 when every skip is a root-to-leaf walk:
+   a fresh scanner per skip, all over one per-query cache. *)
+let root_walk_page_reads (d : Dg.exp2) q =
+  let tree = Index.tree d.uindex in
+  let plan =
+    Uindex.Plan.compile ~enc:(Index.encoding d.uindex)
+      ~ty:(Index.attr_ty d.uindex) q
+  in
+  let cache = Btree.cached_read tree in
+  let walk k =
+    let sc = Btree.Scanner.create tree ~read:(Pager.Cache.read cache) in
+    (sc, Btree.Scanner.seek sc k)
+  in
+  let below_hi k =
+    match Uindex.Plan.upper plan with
+    | Some h -> String.compare k h < 0
+    | None -> true
+  in
+  let rec go (sc, cur) =
+    match cur with
+    | Some (e : Btree.entry) when below_hi e.key -> (
+        match Uindex.Plan.classify plan e.key with
+        | Uindex.Plan.Accept { next = Uindex.Plan.Seek k; _ }
+        | Uindex.Plan.Reject (Uindex.Plan.Seek k) ->
+            go (walk k)
+        | Uindex.Plan.Accept { next = Uindex.Plan.Advance; _ }
+        | Uindex.Plan.Reject Uindex.Plan.Advance ->
+            go (sc, Btree.Scanner.next sc)
+        | Uindex.Plan.Accept { next = Uindex.Plan.Stop; _ }
+        | Uindex.Plan.Reject Uindex.Plan.Stop ->
+            ())
+    | Some _ | None -> ()
+  in
+  Option.iter (fun lo -> go (walk lo)) (Uindex.Plan.lower plan);
+  Pager.Cache.distinct_reads cache
+
+(* Algorithm 1's skips that land in the leaf the cursor holds cost no
+   descent.  The skip points stay [descent] segments in the span tree;
+   the B-tree's own descent counter sees only root-to-leaf walks. *)
+let test_in_leaf_skips () =
+  let d = Lazy.force sparse in
+  let tree = Index.tree d.uindex in
+  let stats = Pager.stats (Btree.pager tree) in
+  let descents () =
+    Option.value ~default:0
+      (Obs.Metrics.find Obs.Metrics.default "btree.descents")
+  in
+  let q =
+    Query.class_hierarchy
+      ~value:(V_range (Some (Value.Int 100), Some (Value.Int 300)))
+      (P_subtree d.classes.(1))
+  in
+  let f = Exec.forward d.uindex q in
+  let before = Stats.snapshot stats in
+  let d0 = descents () in
+  let o, sp = Exec.analyze ~algo:`Parallel d.uindex q in
+  let walks = descents () - d0 in
+  let delta = (Stats.diff ~before ~after:(Stats.snapshot stats)).Stats.reads in
+  Alcotest.(check (list int)) "same bindings as forward" (Exec.head_oids f)
+    (Exec.head_oids o);
+  Alcotest.(check int) "page reads = pager delta" delta o.Exec.page_reads;
+  Alcotest.(check int) "page reads = span total" o.Exec.page_reads
+    (Obs.Trace.total sp "page_reads");
+  let segments =
+    List.length
+      (List.filter
+         (fun (s : Obs.Trace.span) -> s.Obs.Trace.name = "descent")
+         sp.Obs.Trace.children)
+  in
+  if walks >= segments then
+    Alcotest.failf "%d root-to-leaf walks for %d skip segments" walks segments;
+  (* the per-query cache reads each page once, and one root-to-leaf
+     path's internal pages are among them *)
+  let leaves = o.Exec.page_reads - (Btree.height tree - 1) in
+  if walks > leaves + 1 then
+    Alcotest.failf "%d root-to-leaf walks over at most %d leaves" walks leaves
+
+(* Staying in the leaf never changes the paper's page count: random
+   subtree and class-set ranges read exactly the pages of root walks. *)
+let test_in_leaf_page_reads () =
+  let d = Lazy.force sparse in
+  let rng = Workload.Rng.create 11 in
+  for _ = 1 to 60 do
+    let lo = Workload.Rng.int rng 500 in
+    let hi = min 499 (lo + Workload.Rng.int rng 40) in
+    let value = Query.V_range (Some (Value.Int lo), Some (Value.Int hi)) in
+    let q =
+      if Workload.Rng.int rng 2 = 0 then
+        Query.class_hierarchy ~value
+          (P_subtree d.classes.(Workload.Rng.int rng 12))
+      else
+        let k = 1 + Workload.Rng.int rng 6 in
+        Query.class_hierarchy ~value
+          (Qg.union_of_classes (Qg.pick_sets rng Qg.Random ~classes:d.classes ~k))
+    in
+    Alcotest.(check int) "page reads = root walks' page reads"
+      (root_walk_page_reads d q) (Exec.parallel d.uindex q).Exec.page_reads
+  done
+
 let () =
   Alcotest.run "exec"
     [
@@ -240,6 +352,10 @@ let () =
           Alcotest.test_case "empty results are cheap" `Quick
             test_empty_results_cheap;
           Alcotest.test_case "unbounded ranges" `Quick test_unbounded_range;
+          Alcotest.test_case "in-leaf skips do not descend" `Quick
+            test_in_leaf_skips;
+          Alcotest.test_case "in-leaf skips keep page reads" `Quick
+            test_in_leaf_page_reads;
         ] );
       ( "extensions",
         [
